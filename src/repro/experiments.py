@@ -632,28 +632,34 @@ class FleetQoAResult:
         return "\n".join(lines)
 
 
-def fleet_qoa(seed_count: int = 6, workers: int = 0) -> FleetQoAResult:
+def fleet_qoa(seed_count: int = 6) -> FleetQoAResult:
     """Run the canned QoA fleet campaign and fold the per-run detection
     outcomes into detection-probability curves over (T_M, dwell) --
     Figure 5's two anecdotes, made quantitative by seed replication.
 
-    ``workers > 1`` shards the campaign over a process pool; the
-    default stays serial so the driver works everywhere.
+    The campaign runs serially through :func:`repro.fleet.run_pipeline`
+    into a scratch directory; the curves are folded from the
+    ``runs.jsonl`` artifact it writes.
     """
+    import tempfile
+
     from repro.fleet import (
-        ExecutorConfig,
-        execute_campaign,
+        SerialBackend,
         qoa_fleet_campaign,
-        summarize,
+        read_results_jsonl,
+        run_pipeline,
     )
 
     campaign = qoa_fleet_campaign(seed_count=seed_count)
-    specs = campaign.plan()
-    report = execute_campaign(specs, ExecutorConfig(workers=workers))
+    with tempfile.TemporaryDirectory() as out_dir:
+        report = run_pipeline(
+            campaign, out_dir=out_dir, backend=SerialBackend()
+        )
+        results = read_results_jsonl(report.paths.runs)
 
     buckets: Dict[Tuple[float, float], List[bool]] = {}
     analytic: Dict[Tuple[float, float], float] = {}
-    for result in report.results:
+    for result in results:
         if not result.ok:
             continue
         key = (result.spec["t_m"], result.spec["dwell"])
@@ -668,13 +674,12 @@ def fleet_qoa(seed_count: int = 6, workers: int = 0) -> FleetQoAResult:
         )
         for key, hits in buckets.items()
     }
-    summary = summarize(report.results, campaign=campaign.name)
     return FleetQoAResult(
         campaign_name=campaign.name,
-        run_count=len(report.results),
+        run_count=len(results),
         execution_summary=report.summary_line(),
         curves=curves,
-        summary_text=summary.render(),
+        summary_text=report.summary.render(),
     )
 
 

@@ -9,10 +9,10 @@ Execution is pluggable via :class:`ExecutorBackend` (in-process serial,
 process pool, or a file-spool of remote workers); completed shards
 checkpoint to disk for kill-safe ``--resume``; and results stream
 through a memory-bounded :class:`StreamingAggregator` whose artifacts
-are byte-identical to the legacy in-RAM batch path
-(:func:`execute_campaign` + :func:`write_artifacts`, both still
-supported for small sweeps).  See docs/fleet.md for the artifact
-layout and the migration guide.
+are byte-identical to an in-memory fold of the run_id-sorted results,
+whatever the shard size or backend.  Every campaign -- CLI, experiments,
+benches, examples -- runs through :func:`run_pipeline`; there is no
+second executor.  See docs/fleet.md for the artifact layout.
 """
 
 from repro.fleet.backends import (
@@ -40,11 +40,8 @@ from repro.fleet.campaign import (
 )
 from repro.fleet.clock import ClockFn, monotonic_time, perf_time, wall_time
 from repro.fleet.executor import (
-    ExecutionReport,
-    ExecutorConfig,
     FleetTimeout,
     InjectedFailure,
-    execute_campaign,
     execute_run,
     run_one,
 )
@@ -60,12 +57,10 @@ from repro.fleet.results import (
     GroupSummary,
     StreamingAggregator,
     artifact_paths,
-    pending_specs,
     percentile,
     read_manifest,
     read_results_jsonl,
     summarize,
-    write_artifacts,
     write_results_jsonl,
 )
 from repro.fleet.store import (
@@ -95,9 +90,7 @@ __all__ = [
     "CampaignSummary",
     "Cohort",
     "ExchangeSketch",
-    "ExecutionReport",
     "ExecutorBackend",
-    "ExecutorConfig",
     "FleetTimeout",
     "GroupSummary",
     "InjectedFailure",
@@ -120,7 +113,6 @@ __all__ = [
     "ValueSketch",
     "artifact_paths",
     "canned_campaign",
-    "execute_campaign",
     "execute_run",
     "failure_result",
     "hetero_fleet_campaign",
@@ -128,7 +120,6 @@ __all__ = [
     "make_shards",
     "matrix_fleet_campaign",
     "monotonic_time",
-    "pending_specs",
     "perf_time",
     "percentile",
     "plan_hash",
@@ -142,6 +133,5 @@ __all__ = [
     "summarize",
     "verdict_histogram",
     "wall_time",
-    "write_artifacts",
     "write_results_jsonl",
 ]

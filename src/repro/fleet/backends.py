@@ -42,7 +42,7 @@ from typing import (
 from repro.errors import ConfigurationError
 from repro.fleet.campaign import RunSpec
 from repro.fleet.clock import monotonic_time
-from repro.fleet.executor import Runner, _run_shard, execute_run
+from repro.fleet.executor import Runner, execute_run, run_one
 from repro.fleet.telemetry import RunResult
 
 LogFn = Callable[[str], None]
@@ -101,6 +101,13 @@ class ExecutorBackend(Protocol):
         ...
 
 
+def _run_shard(
+    specs: Sequence[RunSpec], retries: int, runner: Runner
+) -> List[RunResult]:
+    """Worker entry point: execute a shard sequentially in-process."""
+    return [run_one(spec, retries=retries, runner=runner) for spec in specs]
+
+
 def make_shards(
     specs: Sequence[RunSpec], shard_size: int
 ) -> List[Shard]:
@@ -153,12 +160,12 @@ def _default_pool_factory(workers: int) -> ProcessPoolExecutor:
 class ProcessPoolBackend:
     """Shards over a local ``ProcessPoolExecutor``.
 
-    Failure containment mirrors the historical executor exactly: a
-    shard whose worker crashes (``BrokenProcessPool``) re-runs
-    in-process and is marked degraded; once the pool breaks, every
-    remaining shard degrades without waiting on dead futures; and if
-    no pool can be created at all the whole campaign runs serially
-    (``mode`` reports ``"serial"`` and every shard counts degraded).
+    Failure containment: a shard whose worker crashes
+    (``BrokenProcessPool``) re-runs in-process and is marked degraded;
+    once the pool breaks, every remaining shard degrades without
+    waiting on dead futures; and if no pool can be created at all the
+    whole campaign runs serially (``mode`` reports ``"serial"`` and
+    every shard counts degraded).
     ``runner`` must be module-level (picklable) for pool dispatch.
     """
 
@@ -301,12 +308,11 @@ class SpoolWorker:
         if claimed is None:
             return False
         job = SpoolJob.from_json(claimed.read_text(encoding="utf-8"))
-        results = [
-            # late import keeps the worker's import surface identical
-            # to the in-process path
-            _spool_run_one(spec_data, job.retries, self.runner)
-            for spec_data in job.specs
-        ]
+        results = _run_shard(
+            [RunSpec.from_dict(spec_data) for spec_data in job.specs],
+            job.retries,
+            self.runner,
+        )
         body = "".join(
             json.dumps(result.to_dict(), sort_keys=True) + "\n"
             for result in results
@@ -345,15 +351,6 @@ class SpoolWorker:
                 emit(f"spool worker idle for {idle_timeout:g}s; exiting")
                 return processed
             time.sleep(poll_interval)
-
-
-def _spool_run_one(
-    spec_data: Dict[str, Any], retries: int, runner: Runner
-) -> RunResult:
-    from repro.fleet.executor import run_one
-
-    return run_one(RunSpec.from_dict(spec_data), retries=retries,
-                   runner=runner)
 
 
 class SpoolBackend:

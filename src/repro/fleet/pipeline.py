@@ -1,9 +1,10 @@
 """The staged campaign pipeline: plan -> shard -> execute -> stream -> reduce.
 
-This is the fleet's scale-out path.  The historical executor collected
-every :class:`~repro.fleet.telemetry.RunResult` in one list and handed
-it to the aggregator; at a million provers that list *is* the OOM.
-The pipeline keeps results moving instead:
+This is the one path every campaign takes -- the CLI, the experiments,
+the benches and the examples all call :func:`run_pipeline`.  Collecting
+every :class:`~repro.fleet.telemetry.RunResult` in one list before
+aggregating would make that list the OOM at a million provers, so the
+pipeline keeps results moving instead:
 
 1. **plan** -- :meth:`CampaignSpec.plan` expands the declarative sweep
    (cohorts, device classes, firmware versions included) into an
@@ -23,10 +24,11 @@ The pipeline keeps results moving instead:
    ``runs.jsonl`` incrementally.
 
 Peak aggregator memory is O(groups + shards), never O(runs), and the
-reduce fold visits results in exactly the order the batch path
-(:func:`~repro.fleet.results.write_artifacts`) does -- which is why a
-streamed, resumed, or remote-executed campaign produces *byte-identical*
-artifacts to an uninterrupted in-memory run.
+reduce fold visits results in global run_id order whatever the shard
+size, backend or resume history -- which is why a streamed, resumed,
+or remote-executed campaign produces *byte-identical* artifacts to an
+uninterrupted in-memory fold (``summarize`` over the run_id-sorted
+results).
 """
 
 from __future__ import annotations
@@ -125,13 +127,6 @@ class PipelineReport:
         )
 
 
-def plan_shards(
-    specs: Sequence[RunSpec], shard_size: int
-) -> List[Shard]:
-    """Stage 2: slice an ordered plan into dispatchable shards."""
-    return make_shards(specs, shard_size)
-
-
 # ---------------------------------------------------------------------------
 # Prior-result discovery (resume / incremental)
 # ---------------------------------------------------------------------------
@@ -197,9 +192,9 @@ def _reduce_stream(
 
     The bytes match :func:`~repro.fleet.results.write_results_jsonl`
     exactly (every line newline-terminated, empty file for an empty
-    campaign), and the fold order matches the batch path's
-    run_id-sorted ``summarize``, so streaming changes *where* results
-    live, never what the artifacts say.
+    campaign), and the fold order matches a run_id-sorted
+    ``summarize``, so streaming changes *where* results live, never
+    what the artifacts say.
     """
     aggregator = StreamingAggregator(campaign.name)
     with open(paths.runs, "w", encoding="utf-8") as handle:
@@ -306,7 +301,7 @@ def run_pipeline(
     paths.root.mkdir(parents=True, exist_ok=True)
 
     # -- stage 2: shard -------------------------------------------------
-    shards = plan_shards(specs, config.shard_size)
+    shards = make_shards(specs, config.shard_size)
 
     checkpoints = ShardCheckpointStore(
         out_dir,

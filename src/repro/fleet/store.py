@@ -34,6 +34,12 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.fleet.campaign import RunSpec
+from repro.fleet.results import (
+    artifact_paths,
+    read_manifest,
+    read_results_jsonl,
+    write_results_jsonl,
+)
 from repro.fleet.telemetry import RunResult
 
 
@@ -69,15 +75,6 @@ class RunResultStore:
     """
 
     def __init__(self, out_dir: Any, campaign_name: str) -> None:
-        # Deferred import: results.py imports this module inside
-        # write_artifacts, so the top-level dependency must point one
-        # way only.
-        from repro.fleet.results import (
-            artifact_paths,
-            read_manifest,
-            read_results_jsonl,
-        )
-
         self.paths = artifact_paths(out_dir, campaign_name)
         self.results: Dict[str, RunResult] = {}
         self.code_fingerprint: str = ""
@@ -209,12 +206,9 @@ class ShardCheckpointStore:
         is exactly what the canonical artifacts need, and it makes a
         resumed campaign's artifacts byte-identical by construction.
         """
-        ordered = sorted(results, key=lambda r: r.run_id)
         path = self.shard_path(index)
         tmp = path.with_suffix(".jsonl.tmp")
-        lines = [result.to_json_line() for result in ordered]
-        body = "\n".join(lines) + "\n" if lines else ""
-        tmp.write_text(body, encoding="utf-8")
+        write_results_jsonl(tmp, sorted(results, key=lambda r: r.run_id))
         os.replace(tmp, path)
         return path
 

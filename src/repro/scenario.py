@@ -119,26 +119,7 @@ class Scenario:
     # -- the factory -------------------------------------------------------
 
     @classmethod
-    def build_service(
-        cls,
-        config: Optional[Any] = None,
-        *,
-        obs: Optional[Any] = None,
-        **overrides: Any,
-    ) -> Any:
-        """Back-compat alias for ``build(service=...)``.
-
-        Kept thin so existing callers keep working; new code should
-        call :meth:`build` with the ``service=`` parameter.
-        """
-        return cls.build(
-            service=config if config is not None else "smoke",
-            obs=obs,
-            service_options=overrides or None,
-        )
-
-    @classmethod
-    def _build_service(
+    def _served_scenario(
         cls,
         service: Any,
         obs: Optional[Any],
@@ -245,7 +226,7 @@ class Scenario:
                     "and takes only obs=/service_options=; incompatible "
                     f"argument(s): {', '.join(passed)}"
                 )
-            return cls._build_service(service, obs, service_options or {})
+            return cls._served_scenario(service, obs, service_options or {})
         if service_options:
             raise ConfigurationError("service_options= requires service=")
         config = config or ScenarioConfig()

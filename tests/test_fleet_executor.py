@@ -1,4 +1,9 @@
-"""Executor behaviour: serial, parallel, and every failure path."""
+"""Executor behaviour: serial, parallel, and every failure path.
+
+Per-run containment is tested on :func:`run_one`; campaign-level
+behaviour (isolation, serial/parallel parity, pool degradation) runs
+through :func:`run_pipeline` on the serial and process-pool backends.
+"""
 
 import os
 import signal
@@ -6,12 +11,16 @@ import signal
 import pytest
 
 from repro.fleet import (
-    ExecutorConfig,
+    CampaignSpec,
+    PipelineConfig,
+    ProcessPoolBackend,
     RunSpec,
-    execute_campaign,
+    SerialBackend,
     execute_run,
     make_shards,
+    read_results_jsonl,
     run_one,
+    run_pipeline,
 )
 from repro.units import MiB
 
@@ -51,6 +60,17 @@ def parity_specs():
             )
         )
     return specs
+
+
+def run_specs(out_dir, specs, backend=None, shard_size=8, retries=1,
+              **kwargs):
+    """Push ``specs`` through the pipeline as an ad-hoc campaign."""
+    return run_pipeline(
+        CampaignSpec(name="executor-test"), specs,
+        out_dir=out_dir, backend=backend,
+        config=PipelineConfig(shard_size=shard_size, retries=retries),
+        **kwargs,
+    )
 
 
 def die_in_pool_worker(spec: RunSpec):
@@ -198,81 +218,73 @@ class TestFailurePaths:
         result = run_one(fast_spec(timeout=30.0))
         assert result.ok
 
-    def test_campaign_isolates_bad_runs(self):
+    def test_campaign_isolates_bad_runs(self, tmp_path):
         specs = [
             fast_spec(),
             fast_spec(mechanism="crashtest"),
             fast_spec(seed=8),
         ]
-        report = execute_campaign(specs, ExecutorConfig(retries=0))
+        report = run_specs(tmp_path, specs, retries=0)
         assert report.status_counts == {"ok": 2, "error": 1}
-        # plan order is preserved around the failure
-        assert [r.run_id for r in report.results] == [
-            s.run_id for s in specs
-        ]
-
-
-class TestSharding:
-    def test_make_shards_partitions_in_order(self):
-        specs = [fast_spec(seed=i) for i in range(7)]
-        shards = make_shards(specs, 3)
-        assert [len(s) for s in shards] == [3, 3, 1]
-        assert [s.run_id for shard in shards for s in shard] == [
-            s.run_id for s in specs
-        ]
+        # the backend hands results back in plan order around the failure
+        outcomes = SerialBackend().execute(make_shards(specs, 2), retries=0)
+        results = [r for outcome in outcomes for r in outcome.results]
+        assert [r.run_id for r in results] == [s.run_id for s in specs]
+        assert [r.status for r in results] == ["ok", "error", "ok"]
 
 
 class TestParallel:
-    def test_serial_parallel_parity_byte_identical(self):
+    def test_serial_parallel_parity_byte_identical(self, tmp_path):
         specs = parity_specs()
-        serial = execute_campaign(specs, ExecutorConfig(workers=0))
-        parallel = execute_campaign(
-            specs, ExecutorConfig(workers=2, shard_size=2)
+        serial = run_specs(tmp_path / "serial", specs)
+        parallel = run_specs(
+            tmp_path / "parallel", specs,
+            backend=ProcessPoolBackend(workers=2), shard_size=2,
         )
         assert serial.mode == "serial"
         assert parallel.mode == "parallel"
-        assert [r.to_json_line() for r in serial.results] == [
-            r.to_json_line() for r in parallel.results
-        ]
+        assert parallel.paths.runs.read_bytes() == \
+            serial.paths.runs.read_bytes()
 
-    def test_pool_unavailable_degrades_to_serial(self):
+    def test_pool_unavailable_degrades_to_serial(self, tmp_path):
         def no_pool(workers):
             raise OSError("no processes for you")
 
         specs = [fast_spec(seed=i) for i in range(3)]
-        report = execute_campaign(
-            specs,
-            ExecutorConfig(workers=4, shard_size=2),
-            pool_factory=no_pool,
+        report = run_specs(
+            tmp_path, specs,
+            backend=ProcessPoolBackend(workers=4, pool_factory=no_pool),
+            shard_size=2,
         )
         assert report.mode == "serial"
         assert report.degraded_shards == report.shard_count == 2
         assert report.status_counts == {"ok": 3}
 
-    def test_worker_crash_degrades_shard_in_process(self):
+    def test_worker_crash_degrades_shard_in_process(self, tmp_path):
         specs = [fast_spec(seed=i) for i in range(4)]
-        report = execute_campaign(
-            specs,
-            ExecutorConfig(workers=2, shard_size=2),
+        report = run_specs(
+            tmp_path, specs,
+            backend=ProcessPoolBackend(workers=2), shard_size=2,
             runner=die_in_pool_worker,
         )
         assert report.mode == "parallel"
         assert report.degraded_shards >= 1
         assert report.status_counts == {"ok": 4}
-        assert [r.run_id for r in report.results] == [
-            s.run_id for s in specs
-        ]
+        assert sorted(
+            r.run_id for r in read_results_jsonl(report.paths.runs)
+        ) == sorted(s.run_id for s in specs)
 
     @pytest.mark.skipif(
         (os.cpu_count() or 1) < 2,
         reason="speedup needs >= 2 physical cores",
     )
-    def test_parallel_speedup_on_multicore(self):
+    def test_parallel_speedup_on_multicore(self, tmp_path):
         from repro.fleet import qoa_fleet_campaign
 
         specs = qoa_fleet_campaign().plan()
-        serial = execute_campaign(specs, ExecutorConfig(workers=0))
-        parallel = execute_campaign(
-            specs, ExecutorConfig(workers=max(2, os.cpu_count() or 2))
+        serial = run_specs(tmp_path / "serial", specs)
+        parallel = run_specs(
+            tmp_path / "parallel", specs,
+            backend=ProcessPoolBackend(workers=max(2, os.cpu_count() or 2)),
         )
         assert serial.wall_clock / parallel.wall_clock > 1.5

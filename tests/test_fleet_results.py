@@ -8,17 +8,15 @@ from repro.apps.metrics import AvailabilityReport
 from repro.errors import ConfigurationError
 from repro.fleet import (
     CampaignSpec,
-    ExecutorConfig,
     RunResult,
     RunSpec,
-    execute_campaign,
     failure_result,
-    pending_specs,
     percentile,
     read_manifest,
     read_results_jsonl,
+    run_one,
+    run_pipeline,
     summarize,
-    write_artifacts,
     write_results_jsonl,
 )
 from repro.sim.task import TaskStats
@@ -131,8 +129,7 @@ class TestAvailabilityReportRoundTrip:
 
     def test_real_run_round_trip(self):
         spec = RunSpec(block_count=8, sim_block_size=MiB, horizon=8.0)
-        report = execute_campaign([spec], ExecutorConfig())
-        availability = report.results[0].availability_report
+        availability = run_one(spec).availability_report
         assert availability is not None
         assert availability.jobs_released > 0
         assert AvailabilityReport.from_dict(
@@ -194,10 +191,7 @@ class TestArtifacts:
 
     def test_full_artifact_layout(self, tmp_path):
         campaign = self.campaign()
-        execution = execute_campaign(campaign.plan(), ExecutorConfig())
-        paths = write_artifacts(
-            tmp_path, campaign, execution.results, execution
-        )
+        paths = run_pipeline(campaign, out_dir=tmp_path).paths
         assert paths.runs.exists()
         assert paths.summary_txt.exists()
         assert json.loads(paths.summary_json.read_text())["total_runs"] == 4
@@ -210,29 +204,8 @@ class TestArtifacts:
 
     def test_runs_jsonl_sorted_and_reloadable(self, tmp_path):
         campaign = self.campaign()
-        execution = execute_campaign(campaign.plan(), ExecutorConfig())
-        paths = write_artifacts(
-            tmp_path, campaign, execution.results, execution
-        )
+        paths = run_pipeline(campaign, out_dir=tmp_path).paths
         loaded = read_results_jsonl(paths.runs)
         assert [r.run_id for r in loaded] == sorted(
-            r.run_id for r in execution.results
+            spec.run_id for spec in campaign.plan()
         )
-
-
-class TestResume:
-    def test_pending_excludes_only_successes(self):
-        specs = [RunSpec(seed=i) for i in range(3)]
-        done = [
-            make_result(seed=0),
-            failure_result(
-                specs[1].run_id, specs[1].to_dict(), "error", "boom"
-            ),
-        ]
-        pending = pending_specs(specs, done)
-        assert [s.seed for s in pending] == [1, 2]
-
-    def test_pending_empty_when_all_done(self):
-        specs = [RunSpec(seed=i) for i in range(2)]
-        done = [make_result(seed=0), make_result(seed=1)]
-        assert pending_specs(specs, done) == []

@@ -3,8 +3,9 @@
 The contracts under test are the tentpole guarantees of the pipeline
 API (docs/fleet.md):
 
-* streaming artifacts are byte-identical to the legacy in-RAM batch
-  path, campaign by campaign;
+* streaming artifacts are byte-identical to an in-memory reference
+  fold of the run_id-sorted results, campaign by campaign and at any
+  shard size;
 * a campaign killed mid-shard resumes from its checkpoints and
   finalizes artifacts byte-identical to an uninterrupted pass
   (manifest included, given an injected clock);
@@ -26,10 +27,9 @@ from repro.fleet import (
     StreamingAggregator,
     artifact_paths,
     canned_campaign,
-    execute_campaign,
+    run_one,
     run_pipeline,
     summarize,
-    write_artifacts,
 )
 from repro.fleet.pipeline import _reduce_stream
 from repro.units import MiB
@@ -93,37 +93,39 @@ def artifact_bytes(out_dir, campaign_name):
     }
 
 
+def reference_fold(specs, campaign_name):
+    """The in-memory fold every streamed artifact set must equal: each
+    spec run in-process, sorted by run_id, serialized and summarized
+    in one batch."""
+    results = sorted(map(run_one, specs), key=lambda r: r.run_id)
+    summary = summarize(results, campaign=campaign_name)
+    return {
+        "runs": "\n".join(r.to_json_line() for r in results) + "\n",
+        "summary_json": json.dumps(
+            summary.to_dict(), indent=2, sort_keys=True
+        ) + "\n",
+        "summary_txt": summary.render() + "\n",
+    }
+
+
 class TestStreamingEqualsBatch:
     @pytest.mark.parametrize("name", ["qoa", "matrix", "faults"])
     def test_canned_campaign_artifacts_byte_identical(self, name, tmp_path):
         campaign = canned_campaign(name, seed_count=1)
         specs = campaign.plan()[:6]
-
-        report = execute_campaign(specs)
-        write_artifacts(
-            tmp_path / "batch", campaign, report.results, report,
-            clock=FIXED_CLOCK,
-        )
-        run_pipeline(
-            campaign, specs,
-            out_dir=tmp_path / "stream",
-            config=pipeline_config(),
-            clock=FIXED_CLOCK,
-        )
-
-        batch = artifact_bytes(tmp_path / "batch", campaign.name)
-        stream = artifact_bytes(tmp_path / "stream", campaign.name)
-        # canonical artifacts: byte-for-byte
-        assert stream["runs"] == batch["runs"]
-        assert stream["summary_json"] == batch["summary_json"]
-        assert stream["summary_txt"] == batch["summary_txt"]
-        # the manifest's volatile/topology fields legitimately differ
-        # (wall clock, legacy shard accounting); everything else holds
-        batch_manifest = json.loads(batch["manifest"])
-        stream_manifest = json.loads(stream["manifest"])
-        for key in ("campaign", "spec_hash", "run_count",
-                    "status_counts", "code_fingerprint", "cache_hits"):
-            assert stream_manifest[key] == batch_manifest[key]
+        expected = reference_fold(specs, campaign.name)
+        # one run per shard, a ragged k-way merge, and a single shard
+        for shard_size in (1, 4, len(specs)):
+            out_dir = tmp_path / f"shard-size-{shard_size}"
+            run_pipeline(
+                campaign, specs, out_dir=out_dir,
+                config=pipeline_config(shard_size=shard_size),
+            )
+            streamed = artifact_bytes(out_dir, campaign.name)
+            for artifact, body in expected.items():
+                assert streamed[artifact] == body.encode("utf-8"), (
+                    shard_size, artifact,
+                )
 
     def test_summarize_is_the_streaming_fold(self):
         specs = [fast_spec(seed=i) for i in range(8)]
@@ -217,6 +219,29 @@ class TestKillAndResume:
         assert "0 runs" in report.summary_line()
         assert "nothing to do" in report.summary_line()
         assert artifact_bytes(tmp_path, campaign.name) == before
+
+    def test_resume_reruns_only_failed_runs(self, tmp_path):
+        # the resume set is every planned run without an ok result
+        campaign = canned_campaign("qoa", seed_count=1)
+        specs = [fast_spec(seed=i) for i in range(3)]
+
+        def second_fails(spec):
+            if spec.seed == 1:
+                raise RuntimeError("boom")
+            return synthetic_runner(spec)
+
+        first = run_pipeline(
+            campaign, specs, out_dir=tmp_path,
+            config=pipeline_config(retries=0), runner=second_fails,
+        )
+        assert first.status_counts == {"ok": 2, "error": 1}
+        report = run_pipeline(
+            campaign, specs, out_dir=tmp_path,
+            config=pipeline_config(resume=True), runner=synthetic_runner,
+        )
+        assert report.executed == 1 and report.restored == 2
+        assert report.status_counts == {"ok": 1}
+        assert report.summary.total_runs == 3
 
     def test_resumed_results_are_not_marked_cache_hits(self, tmp_path):
         # byte-identity demands it: an uninterrupted run has

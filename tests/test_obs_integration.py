@@ -6,7 +6,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fleet import ExecutorConfig, RunSpec, execute_campaign, execute_run
+from repro.fleet import (
+    CampaignSpec,
+    ProcessPoolBackend,
+    RunSpec,
+    SerialBackend,
+    execute_run,
+    read_results_jsonl,
+    run_pipeline,
+)
 from repro.fleet.results import summarize
 from repro.obs.core import NULL_OBS, Observability
 from repro.sim.engine import Simulator
@@ -105,15 +113,19 @@ class TestFleetTelemetry:
         back = RunResult.from_json_line(result.to_json_line())
         assert back.telemetry == result.telemetry
 
-    def test_serial_and_parallel_telemetry_identical(self):
+    def test_serial_and_parallel_telemetry_identical(self, tmp_path):
         specs = [spec(), spec(mechanism="smart"),
                  spec(mechanism="erasmus", horizon=20.0)]
-        serial = execute_campaign(
-            specs, ExecutorConfig(mode="serial")
-        ).results
-        parallel = execute_campaign(
-            specs, ExecutorConfig(mode="parallel", workers=2)
-        ).results
+
+        def results(backend, out):
+            report = run_pipeline(
+                CampaignSpec(name="telemetry"), specs,
+                out_dir=tmp_path / out, backend=backend,
+            )
+            return read_results_jsonl(report.paths.runs)
+
+        serial = results(SerialBackend(), "serial")
+        parallel = results(ProcessPoolBackend(workers=2), "parallel")
         by_id = lambda rs: {r.run_id: r.telemetry for r in rs}  # noqa: E731
         assert by_id(serial) == by_id(parallel)
         assert all(t for t in by_id(serial).values())
