@@ -10,12 +10,20 @@ the prover's permutation / schedule from the shared key).
 This is the SP 800-90A HMAC-DRBG update/generate core without the
 reseed-counter ceremony (no prediction-resistance requests in a
 simulation).
+
+The state is exactly ``(K, V)``, with K held not as bytes but as a
+keyed :class:`~repro.crypto.hmac.Hmac` context: every HMAC under the
+current K is a ``copy()`` of that context, and the key schedule runs
+only when the update step replaces K.  One ``generate`` call therefore
+costs one key schedule (the closing update) however many blocks it
+produces; a ``reseed`` or the seeding update costs two.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, TypeVar
 
+from repro.crypto.hashes import get_algorithm
 from repro.crypto.hmac import Hmac
 from repro.errors import ParameterError
 
@@ -33,26 +41,30 @@ class HmacDrbg:
 
     def __init__(self, seed: bytes, algorithm: str = "sha256") -> None:
         self.algorithm = algorithm
-        digest_size = Hmac(b"\x00", algorithm).digest_size
-        self._key = b"\x00" * digest_size
+        digest_size = get_algorithm(algorithm).digest_size
+        self._mac = Hmac(b"\x00" * digest_size, algorithm)
         self._value = b"\x01" * digest_size
         self._update(seed)
         self.bytes_generated = 0
 
     # -- core ------------------------------------------------------------
 
-    def _hmac(self, key: bytes, *chunks: bytes) -> bytes:
-        mac = Hmac(key, self.algorithm)
+    def _hmac(self, *chunks: bytes) -> bytes:
+        """HMAC under the current K of the concatenated ``chunks``."""
+        mac = self._mac.copy()
         for chunk in chunks:
             mac.update(chunk)
         return mac.digest()
 
+    def _rekey(self, *chunks: bytes) -> None:
+        """K = HMAC(K, chunks), then V = HMAC(K, V) under the new K."""
+        self._mac = Hmac(self._hmac(*chunks), self.algorithm)
+        self._value = self._hmac(self._value)
+
     def _update(self, provided: bytes = b"") -> None:
-        self._key = self._hmac(self._key, self._value, b"\x00", provided)
-        self._value = self._hmac(self._key, self._value)
+        self._rekey(self._value, b"\x00", provided)
         if provided:
-            self._key = self._hmac(self._key, self._value, b"\x01", provided)
-            self._value = self._hmac(self._key, self._value)
+            self._rekey(self._value, b"\x01", provided)
 
     def reseed(self, entropy: bytes) -> None:
         """Mix new seed material into the state."""
@@ -64,7 +76,7 @@ class HmacDrbg:
             raise ParameterError("num_bytes must be non-negative")
         output = bytearray()
         while len(output) < num_bytes:
-            self._value = self._hmac(self._key, self._value)
+            self._value = self._hmac(self._value)
             output.extend(self._value)
         self._update()
         self.bytes_generated += num_bytes

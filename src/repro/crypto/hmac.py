@@ -7,6 +7,17 @@ paper notes its cost is "negligible compared to the inner one").  We
 implement HMAC from scratch over the hash registry rather than using
 :mod:`hmac` so the construction itself is part of the reproduction and
 is covered by the RFC 4231 test vectors in the test suite.
+
+An :class:`Hmac` is a *keyed context*.  The key schedule runs once, in
+``__init__``: the key is padded to the block size, XORed with ipad and
+opad through two 256-entry :meth:`bytes.translate` tables, and each
+padded key is absorbed into its own hash object.  Following the
+implementation note of RFC 2104 section 4, those two keyed hash states
+are what the context keeps: ``update`` feeds the inner one,
+``digest`` finishes a ``copy()`` of the outer one, and :meth:`copy`
+forks the inner state while sharing the outer one, which is never
+mutated.  So a caller that MACs many messages under one key pays the
+key schedule once and one hash-state copy per message.
 """
 
 from __future__ import annotations
@@ -15,12 +26,13 @@ from typing import Iterable
 
 from repro.crypto.hashes import HashAlgorithm, get_algorithm
 
-_IPAD = 0x36
-_OPAD = 0x5C
+#: byte-wise ``x ^ 0x36`` and ``x ^ 0x5C`` (RFC 2104 ipad and opad)
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class Hmac:
-    """Streaming HMAC.
+    """Streaming HMAC over one key.
 
     >>> mac = Hmac(b"key", "sha256")
     >>> mac.update(b"message")
@@ -34,25 +46,24 @@ class Hmac:
         if len(key) > block_size:
             key = self.algorithm.new(key).digest()
         key = key.ljust(block_size, b"\x00")
-        self._okey = bytes(b ^ _OPAD for b in key)
-        inner_key = bytes(b ^ _IPAD for b in key)
-        self._inner = self.algorithm.new(inner_key)
+        self._inner = self.algorithm.new(key.translate(_IPAD))
+        self._outer = self.algorithm.new(key.translate(_OPAD))
 
     def update(self, data: bytes) -> None:
         """Feed attested bytes to the inner hash."""
         self._inner.update(data)
 
     def copy(self) -> "Hmac":
-        """A snapshot sharing no state with the original."""
+        """A fork whose ``update`` leaves the original untouched."""
         clone = object.__new__(Hmac)
         clone.algorithm = self.algorithm
-        clone._okey = self._okey
         clone._inner = self._inner.copy()
+        clone._outer = self._outer
         return clone
 
     def digest(self) -> bytes:
         """Finalize (non-destructively): outer hash over the inner digest."""
-        outer = self.algorithm.new(self._okey)
+        outer = self._outer.copy()
         outer.update(self._inner.digest())
         return outer.digest()
 

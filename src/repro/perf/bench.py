@@ -147,6 +147,69 @@ def bench_block_hash(quick: bool) -> Dict[str, Dict[str, Any]]:
     return out
 
 
+def bench_hmac_keyed(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """Short-message HMAC: one-shot (key schedule per message, what
+    ``hmac_digest`` callers pay) vs a ``copy()`` of a keyed context."""
+    from repro.crypto.hmac import Hmac, hmac_digest
+
+    macs = 5_000 if quick else 20_000
+    key = bytes(range(32))
+    message = bytes(64)
+    keyed = Hmac(key)
+
+    def oneshot() -> None:
+        for _ in range(macs):
+            hmac_digest(key, message)
+
+    def copied() -> None:
+        for _ in range(macs):
+            mac = keyed.copy()
+            mac.update(message)
+            mac.digest()
+
+    repeats = 3 if quick else 5
+    samples = _samples_of(oneshot, repeats)
+    best_copied = _best_of(copied, repeats)
+    return {
+        "hmac.keyed": {
+            "macs_per_sec": macs / min(samples),
+            "copy_macs_per_sec": macs / best_copied,
+            "macs": macs,
+            "message_bytes": len(message),
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "macs_per_sec",
+            "direction": "higher",
+        }
+    }
+
+
+def bench_drbg_randbelow(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """``HmacDrbg.randbelow(64)``: one draw of SMARM's 64-block
+    Fisher-Yates shuffle (a ``generate`` plus its re-key per draw)."""
+    from repro.crypto.drbg import HmacDrbg
+
+    draws = 2_000 if quick else 10_000
+    drbg = HmacDrbg(b"bench-randbelow")
+
+    def work() -> None:
+        randbelow = drbg.randbelow
+        for _ in range(draws):
+            randbelow(64)
+
+    samples = _samples_of(work, repeats=3 if quick else 5)
+    return {
+        "drbg.randbelow": {
+            "draws_per_sec": draws / min(samples),
+            "draws": draws,
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "draws_per_sec",
+            "direction": "higher",
+        }
+    }
+
+
 def bench_engine_events(quick: bool) -> Dict[str, Dict[str, Any]]:
     """Raw event-loop throughput: schedule + fire no-op events."""
     from repro.sim.engine import Simulator
@@ -851,6 +914,8 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
 
     benches: Dict[str, Dict[str, Any]] = {}
     benches.update(bench_block_hash(quick))
+    benches.update(bench_hmac_keyed(quick))
+    benches.update(bench_drbg_randbelow(quick))
     benches.update(bench_engine_events(quick))
     benches.update(bench_engine_dispatch(quick))
     benches.update(bench_digest_cache(quick))

@@ -14,7 +14,9 @@ from repro.perf import bench
 from repro.perf.bench import (
     BENCH_VERSION,
     bench_digest_cache,
+    bench_drbg_randbelow,
     bench_engine_dispatch,
+    bench_hmac_keyed,
     bench_memory_fill,
     bench_trace_serialize,
     compare,
@@ -212,6 +214,22 @@ class TestMicroBenches:
         assert payload["speedup"] > 1.0
         assert payload["median_ms"] > 0.0
         assert payload["gate_threshold"] == bench.GATE_RATIO
+
+    def test_hmac_keyed_bench_shape(self):
+        result = bench_hmac_keyed(quick=True)
+        (name, payload), = result.items()
+        assert name == "hmac.keyed"
+        assert payload["macs_per_sec"] > 0
+        # a copy of the keyed context skips the key schedule
+        assert payload["copy_macs_per_sec"] > payload["macs_per_sec"]
+        assert payload["gate_threshold"] == bench.GATE_ABSOLUTE
+
+    def test_drbg_randbelow_bench_shape(self):
+        result = bench_drbg_randbelow(quick=True)
+        (name, payload), = result.items()
+        assert name == "drbg.randbelow"
+        assert payload["direction"] == "higher"
+        assert payload[payload["primary"]] > 0
 
     def test_git_revision_is_short_string(self):
         revision = git_revision()

@@ -1,4 +1,7 @@
-"""HMAC-DRBG: determinism and sampler correctness."""
+"""HMAC-DRBG: determinism, sampler correctness, and SP 800-90A parity."""
+
+import hashlib
+import hmac as stdlib_hmac
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,3 +140,85 @@ class TestPermutations:
         for i in range(120):
             seen.add(HmacDrbg(b"seed%d" % i).permutation(8)[0])
         assert seen == set(range(8))
+
+
+class ReferenceDrbg:
+    """Straight-line SP 800-90A HMAC-DRBG over the stdlib :mod:`hmac`,
+    with K kept as bytes and a fresh HMAC for every step."""
+
+    def __init__(self, seed, algorithm):
+        self.algorithm = algorithm
+        size = hashlib.new(algorithm).digest_size
+        self.key = b"\x00" * size
+        self.value = b"\x01" * size
+        self.update(seed)
+
+    def mac(self, data):
+        return stdlib_hmac.new(self.key, data, self.algorithm).digest()
+
+    def update(self, provided=b""):
+        self.key = self.mac(self.value + b"\x00" + provided)
+        self.value = self.mac(self.value)
+        if provided:
+            self.key = self.mac(self.value + b"\x01" + provided)
+            self.value = self.mac(self.value)
+
+    def generate(self, num_bytes):
+        output = b""
+        while len(output) < num_bytes:
+            self.value = self.mac(self.value)
+            output += self.value
+        self.update()
+        return output[:num_bytes]
+
+
+ALGORITHMS = ["sha256", "sha512", "blake2b", "blake2s"]
+
+#: one DRBG call: ("generate", size) or ("reseed", entropy)
+_OPS = st.one_of(
+    st.tuples(st.just("generate"), st.sampled_from([0, 1, 31, 32, 33, 100])),
+    st.tuples(st.just("reseed"), st.binary(max_size=48)),
+)
+
+
+class TestReferenceParity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.binary(max_size=64),
+        st.lists(_OPS, max_size=8),
+        st.sampled_from(ALGORITHMS),
+    )
+    def test_stream_matches_reference(self, seed, ops, algorithm):
+        drbg = HmacDrbg(seed, algorithm)
+        reference = ReferenceDrbg(seed, algorithm)
+        for op, arg in ops:
+            if op == "reseed":
+                drbg.reseed(arg)
+                reference.update(arg)
+            else:
+                assert drbg.generate(arg) == reference.generate(arg)
+        assert drbg.generate(33) == reference.generate(33)
+
+    def test_unknown_algorithm_rejected_up_front(self):
+        with pytest.raises(ParameterError):
+            HmacDrbg(b"s", "md4")
+
+
+class TestKnownAnswer:
+    """Pinned stream of the default (SHA-256) profile; any change to
+    the key schedule that alters a single output byte fails here."""
+
+    FIRST = (
+        "8abbe9af30407350fd29a9a1bc587a26b051ec5f19335fd993a645742a2d23ec"
+        "1f9ba331f33d566595f791d72670d8bcdb266a5fc2a2d507bd2da845e5e09202"
+    )
+    AFTER_RESEED = (
+        "7870f6750a25f570a647014621e3a9f17d41c99fe2dbf1e038bf46edaf8ee29e"
+        "76916d77cea6608329553630a9457c72ad0c0dcb5e059fd1d2cae4533ac54f0c"
+    )
+
+    def test_generate_reseed_generate(self):
+        drbg = HmacDrbg(b"repro-kat")
+        assert drbg.generate(64).hex() == self.FIRST
+        drbg.reseed(b"repro-kat-reseed")
+        assert drbg.generate(64).hex() == self.AFTER_RESEED

@@ -71,6 +71,20 @@ class TestStdlibEquivalence:
             key, data, "sha256"
         ).digest()
 
+    @given(
+        st.sampled_from(["sha256", "sha512", "blake2b", "blake2s"]),
+        st.binary(min_size=0, max_size=200),
+        st.lists(st.binary(max_size=150), max_size=6),
+    )
+    def test_chunked_inputs_match_stdlib(self, algorithm, key, chunks):
+        # keys of 0-200 bytes cross both the 64- and 128-byte blocks
+        mac = Hmac(key, algorithm)
+        for chunk in chunks:
+            mac.update(chunk)
+        assert mac.digest() == stdlib_hmac.new(
+            key, b"".join(chunks), algorithm
+        ).digest()
+
 
 class TestStreaming:
     def test_incremental_equals_one_shot(self):
@@ -95,6 +109,29 @@ class TestStreaming:
         fork.update(b"right")
         assert mac.digest() == hmac_digest(b"key", b"commonleft")
         assert fork.digest() == hmac_digest(b"key", b"commonright")
+
+    @given(
+        st.sampled_from(["sha256", "sha512", "blake2b", "blake2s"]),
+        st.binary(max_size=200),
+        st.binary(max_size=100),
+        st.binary(max_size=100),
+    )
+    def test_keyed_context_invariants(self, algorithm, key, head, tail):
+        # digest() is repeatable and non-destructive, and a copy()
+        # shares the keyed outer state without ever mutating it
+        mac = Hmac(key, algorithm)
+        mac.update(head)
+        first = mac.digest()
+        assert mac.digest() == first
+        fork = mac.copy()
+        fork.update(tail)
+        assert fork.digest() == hmac_digest(key, head + tail, algorithm)
+        assert mac.digest() == first
+        # update after digest continues the stream
+        mac.update(tail)
+        assert mac.digest() == stdlib_hmac.new(
+            key, head + tail, algorithm
+        ).digest()
 
     def test_hmac_chain(self):
         chunks = [b"a", b"b", b"c"]
