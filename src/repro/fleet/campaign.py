@@ -20,6 +20,7 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
+from repro.crypto.hashes import HASH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.units import MiB
 
@@ -184,6 +185,14 @@ class RunSpec:
                 f"unknown workload {self.workload!r}; "
                 f"known: {KNOWN_WORKLOADS}"
             )
+        if self.algorithm not in HASH_ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown hash algorithm {self.algorithm!r}; "
+                f"known: {sorted(HASH_ALGORITHMS)}"
+            )
+        for geometry in ("block_count", "block_size", "sim_block_size"):
+            if getattr(self, geometry) <= 0:
+                raise ConfigurationError(f"{geometry} must be positive")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
         if self.faults:

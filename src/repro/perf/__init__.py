@@ -1,9 +1,9 @@
-"""Hot-path performance layer: caching and benchmarking.
+"""Hot-path performance layer: interning and benchmarking.
 
 Wall-clock optimisations that are *provably inert* in sim-time:
 
-* :class:`DigestCache` -- generation-aware per-block content/digest
-  cache consulted by the measurement process (golden-equality pinned);
+* :mod:`repro.perf.reference_store` -- the process-wide interned
+  benign firmware image every ``Memory`` and verifier shares;
 * :mod:`repro.perf.bench` -- the seeded ``repro bench`` micro/macro
   suite that records throughput numbers in ``BENCH_<rev>.json`` and
   fails comparisons on >20% regression.
@@ -11,7 +11,3 @@ Wall-clock optimisations that are *provably inert* in sim-time:
 Run-level caching (skipping whole fleet runs) lives in
 :mod:`repro.fleet.store`; this package covers within-run hot paths.
 """
-
-from repro.perf.digest_cache import DEFAULT_CAPACITY, DigestCache
-
-__all__ = ["DEFAULT_CAPACITY", "DigestCache"]

@@ -46,7 +46,6 @@ from repro.ra.measurement import MeasurementConfig
 from repro.ra.seed import SeedMonitor, SeedService
 from repro.ra.service import AttestationService, OnDemandVerifier
 from repro.ra.verifier import Verifier
-from repro.perf.digest_cache import DigestCache
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.outcome import OutcomeReport
 from repro.resilience.retry import RetryPolicy
@@ -81,7 +80,6 @@ class Scenario:
     fault_plan: Optional[FaultPlan] = None
     injector: Optional[FaultInjector] = None
     rounds: int = 1
-    digest_cache: Optional[DigestCache] = None
 
     # -- conveniences ------------------------------------------------------
 
@@ -172,18 +170,13 @@ class Scenario:
         malware_options: Optional[Dict[str, Any]] = None,
         seed_options: Optional[Dict[str, Any]] = None,
         workload_options: Optional[Dict[str, Any]] = None,
-        digest_cache: Any = None,
         service: Optional[Any] = None,
         service_options: Optional[Dict[str, Any]] = None,
     ) -> Any:
         """Wire one complete scenario; see the module docstring for the
         canonical order.  ``faults`` accepts a :class:`FaultPlan` or the
         DSL string form; ``mechanism`` is any ``standard_mechanisms()``
-        key plus ``"none"`` and ``"seed"``.  ``digest_cache`` accepts a
-        :class:`~repro.perf.digest_cache.DigestCache`, ``True`` for a
-        default-sized one, or ``None``/``False`` (the default) for the
-        seed-identical uncached path; sim-time is identical either way
-        (docs/performance.md).
+        key plus ``"none"`` and ``"seed"``.
 
         ``service`` switches to the population-scale served-verifier
         stack (the ``vserver`` layer): pass a
@@ -217,7 +210,6 @@ class Scenario:
                 "malware_options": malware_options is not None,
                 "seed_options": seed_options is not None,
                 "workload_options": workload_options is not None,
-                "digest_cache": digest_cache not in (None, False),
             }
             passed = sorted(k for k, v in single_device_args.items() if v)
             if passed:
@@ -252,11 +244,6 @@ class Scenario:
         if outcomes is None and (retry is not None or plan is not None):
             outcomes = OutcomeReport()
 
-        if digest_cache is True:
-            digest_cache = DigestCache()
-        elif digest_cache is False:
-            digest_cache = None
-
         # sim -> device (+layout) -> channel -> attach -> enroll
         if sim is None:
             sim = Simulator(obs=obs) if obs is not None else Simulator()
@@ -266,7 +253,6 @@ class Scenario:
             block_size=config.block_size,
             sim_block_size=config.sim_block_size,
             seed=seed,
-            digest_cache=digest_cache,
             **({"trace": trace} if trace is not None else {}),
         )
         if layout == "standard":
@@ -290,7 +276,6 @@ class Scenario:
             retry=retry,
             outcomes=outcomes,
             fault_plan=plan,
-            digest_cache=digest_cache,
         )
 
         # workload -> malware -> mechanism

@@ -87,7 +87,6 @@ class Simulator:
         self._seq: int = 0
         self._running: bool = False
         self._stopped: bool = False
-        self._until: Optional[float] = None  # active run() bound
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.bind_clock(lambda: self.now)
         # Cache instrument handles once so the scheduling/firing hot
@@ -193,7 +192,6 @@ class Simulator:
             raise SchedulingError("run() called re-entrantly")
         self._running = True
         self._stopped = False
-        self._until = until
         queue = self._queue
         pop = heapq.heappop
         try:
@@ -274,56 +272,11 @@ class Simulator:
                 self.now = until
         finally:
             self._running = False
-            self._until = None
         return self.now
 
     def stop(self) -> None:
         """Stop a ``run`` in progress after the current event returns."""
         self._stopped = True
-
-    # -- coalesced time advance ---------------------------------------
-
-    def can_coalesce(self, duration: float) -> bool:
-        """Whether a completion event ``duration`` from now may be
-        *coalesced*: executed inline instead of round-tripping through
-        the heap.
-
-        Coalescing is behavior-preserving only when the would-be event
-        is provably the next thing the engine would fire, so this
-        requires all of:
-
-        * a ``run()`` is active (``step()`` drives events one at a
-          time and must observe every one) and has not been stopped;
-        * the profiler is off (it attributes wall time per fired
-          event, so every event must actually fire);
-        * the target time does not overshoot the active ``until``
-          bound;
-        * the earliest live queued event is *strictly* later than the
-          target -- an event at exactly the target time was scheduled
-          earlier, holds a smaller sequence number, and must run first.
-        """
-        if not self._running or self._stopped or self._profiler is not None:
-            return False
-        target = self.now + duration
-        if self._until is not None and target > self._until:
-            return False
-        head = self._live_head()
-        return head is None or head.time > target
-
-    def coalesce_advance(self, duration: float) -> None:
-        """Advance the clock by ``duration`` inline.
-
-        Only legal immediately after :meth:`can_coalesce` returned
-        ``True`` (same stack frame, nothing scheduled in between).  The
-        skipped schedule/fire pair is accounted logically -- sequence
-        number, scheduled/fired counters -- so telemetry and any later
-        tie-breaking are identical to the event-queue path.
-        """
-        self.now += duration
-        self._seq += 1
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
-            self._m_fired.inc()
 
     # -- introspection ------------------------------------------------
 

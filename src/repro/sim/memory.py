@@ -189,7 +189,7 @@ class Memory:
         # The benign firmware image is interned process-wide: construction
         # copies the shared bytes into per-device mutable bytearrays, and
         # keeps the image view so benign_block/benign_image/dirty_blocks
-        # and audit-hash lookups never regenerate a byte.
+        # never regenerate a byte.
         self._reference = _reference_store.REFERENCE_STORE.image(
             seed, block_size
         )
@@ -211,12 +211,6 @@ class Memory:
         self.mpu = None  # wired by Device; duck-typed check_write(block)
         self.write_log: List[WriteRecord] = []
         self._clock = None  # wired by Device: callable returning sim time
-        #: monotonic per-block content generation: bumped on every
-        #: *applied* mutation (MPU-blocked writes leave it untouched).
-        #: ``(block, generation)`` therefore identifies block contents,
-        #: which is what :class:`repro.perf.digest_cache.DigestCache`
-        #: keys on to skip re-hashing unchanged blocks.
-        self.generations: List[int] = [0] * block_count
 
     # -- geometry --------------------------------------------------------
 
@@ -280,24 +274,6 @@ class Memory:
             )
         return frozen
 
-    def generation(self, block_index: int) -> int:
-        """The block's current content generation (see ``generations``)."""
-        self._check_index(block_index)
-        return self.generations[block_index]
-
-    def bump_all_generations(self) -> None:
-        """Conservatively invalidate every cached content identity.
-
-        :meth:`repro.sim.device.Device.reset` calls this on a brownout:
-        the RAM image technically survives, but after a reset nothing
-        pre-computed about its contents should be trusted -- every
-        digest-cache entry keyed on the old generations becomes
-        unreachable and is re-derived from the actual bytes.  Mutates
-        in place so long-lived aliases of the list stay valid.
-        """
-        for index in range(self.block_count):
-            self.generations[index] += 1
-
     def write(self, block_index: int, data: bytes, actor: str = "?") -> None:
         """Overwrite a whole block.
 
@@ -313,7 +289,6 @@ class Memory:
             return
         self.blocks[block_index].data[:] = data
         self._frozen[block_index] = bytes(data)
-        self.generations[block_index] += 1
         self.write_log.append(
             WriteRecord(
                 self.now(), block_index, actor, content_fingerprint(data)
@@ -340,7 +315,6 @@ class Memory:
         self.blocks[block_index].data[offset : offset + len(data)] = data
         patched = bytes(self.blocks[block_index].data)
         self._frozen[block_index] = patched
-        self.generations[block_index] += 1
         self.write_log.append(
             WriteRecord(
                 self.now(), block_index, actor,
@@ -363,7 +337,6 @@ class Memory:
                 raise ConfigurationError("image block size mismatch")
             self.blocks[index].data[:] = content
             self._frozen[index] = bytes(content)
-            self.generations[index] += 1
 
     def benign_image(self) -> MemoryImage:
         """The pristine image this memory was initialized with.
@@ -382,26 +355,6 @@ class Memory:
         """Pristine contents of one block (interned, shared)."""
         self._check_index(block_index)
         return self._reference.block(block_index)
-
-    def reference_blocks(self) -> Tuple[bytes, ...]:
-        """The interned benign image as one shared tuple.
-
-        Every call returns the same tuple of the same interned ``bytes``
-        objects (shared across all devices with this ``seed`` /
-        ``block_size``); the measurement hot loop compares against it by
-        identity to recognise still-benign content.
-        """
-        return self._reference.blocks(self.block_count)
-
-    def benign_audit(self, block_index: int) -> bytes:
-        """Precomputed audit hash of the block's pristine contents.
-
-        Equals ``content_fingerprint(self.benign_block(block_index))``
-        without re-hashing; the measurement process's cache-miss fill
-        uses it whenever the measured content is still benign.
-        """
-        self._check_index(block_index)
-        return self._reference.audit(block_index)
 
     def dirty_blocks(self) -> List[int]:
         """Indices of blocks that differ from the benign image.

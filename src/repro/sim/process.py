@@ -40,24 +40,14 @@ from repro.sim.engine import EventHandle, Signal, Simulator
 
 
 class Compute:
-    """Occupy the CPU for ``duration`` seconds of work.
+    """Occupy the CPU for ``duration`` seconds of work."""
 
-    ``coalesce=True`` marks the compute as a candidate for the engine's
-    inline fast path: when the completion event would provably be the
-    next event to fire anyway (see
-    :meth:`repro.sim.engine.Simulator.can_coalesce`), the clock advances
-    without a heap round-trip.  Purely a wall-clock optimisation --
-    sim-time, trace records and preemption behavior are identical --
-    used by the measurement hot loop on digest-cache hits.
-    """
+    __slots__ = ("duration",)
 
-    __slots__ = ("duration", "coalesce")
-
-    def __init__(self, duration: float, coalesce: bool = False) -> None:
+    def __init__(self, duration: float) -> None:
         if duration < 0:
             raise ProcessError(f"negative compute duration {duration!r}")
         self.duration = duration
-        self.coalesce = coalesce
 
 
 class Sleep:
@@ -381,16 +371,6 @@ class CPU:
                 send_value = None
                 if isinstance(command, Compute):
                     duration = command.duration
-                    if command.coalesce and self.sim.can_coalesce(duration):
-                        # Inline fast path: the completion event would
-                        # be the very next event the engine fires, so
-                        # skip the heap round-trip.  The trace record is
-                        # emitted at the pre-advance instant, exactly as
-                        # the scheduling path does.
-                        self._emit("compute", proc, duration=duration)
-                        self.sim.coalesce_advance(duration)
-                        proc.cpu_time += duration
-                        continue
                     proc._remaining = duration
                     proc._run_start = self.sim.now
                     proc._completion = self.sim.schedule(

@@ -2,16 +2,16 @@
 
 The measurement hot loop is the repo's wall-clock center of gravity:
 every mechanism in Table 1 re-walks prover memory, and fleet campaigns
-multiply that by thousands of runs.  :mod:`repro.perf.digest_cache`
-exists so unchanged blocks are hashed once -- but only call sites that
-route through it benefit.  The ``perf-uncached-digest`` rule flags the
-anti-pattern of hashing freshly read block contents directly
-(``audit_hash(memory.read_block(i))`` and friends): on a traversal
-path this re-pays the read copy and digest for bytes whose generation
-has not changed.  Call sites that are deliberately cache-free -- cache
-*misses*, one-shot reference-image builds, verifier-side recomputation
--- carry a ``# repro: allow[perf-uncached-digest]`` suppression with
-the justification inline.
+multiply that by thousands of runs.  The measurement kernel hashes
+each visited block once and keeps the result in
+``MeasurementRecord.audit_block_hashes``.  The ``perf-uncached-digest``
+rule flags code that hashes freshly read block contents again
+(``audit_hash(memory.read_block(i))`` and friends): that re-pays the
+read and the digest for bytes the record already identifies.  The
+call sites that must hash -- the kernel itself, one-shot
+reference-image builds, verifier-side recomputation -- carry a
+``# repro: allow[perf-uncached-digest]`` suppression with the
+justification inline.
 
 The ``perf-unbounded-queue`` rule guards the other wall-clock (and
 memory) hazard the verifier service introduced: per-message
@@ -105,23 +105,21 @@ def _hash_calls(func: ast.AST) -> List[ast.Call]:
     id="perf-uncached-digest",
     family="performance",
     severity=Severity.WARNING,
-    summary="block contents read and hashed without the digest cache",
+    summary="block contents read and hashed outside the measurement",
     rationale=(
-        "Measurement traversals dominate wall clock, and most re-visit "
-        "blocks whose generation counter has not changed since the "
-        "previous round.  Hashing the output of read_block()/"
-        "benign_block() directly re-pays the content copy and the "
-        "digest for bytes the generation-keyed DigestCache already "
-        "identifies; at ERASMUS/fleet scale that is the difference "
-        "between seconds and minutes of pure reproduction overhead."
+        "Measurement traversals dominate wall clock, and the kernel "
+        "already hashes every block it visits into the record's "
+        "audit_block_hashes.  Hashing the output of read_block()/"
+        "benign_block() again re-pays the content copy and the digest "
+        "for bytes the record already identifies; at ERASMUS/fleet "
+        "scale that is the difference between seconds and minutes of "
+        "pure reproduction overhead."
     ),
     hint=(
-        "consult repro.perf.digest_cache.DigestCache keyed on "
-        "(block, generation, algorithm, key_fingerprint) before "
-        "hashing, or suppress with "
-        "`# repro: allow[perf-uncached-digest]` where the call is "
-        "deliberately cache-free (cache-miss fill, one-shot reference "
-        "build, verifier-side recomputation)"
+        "reuse MeasurementRecord.audit_block_hashes, or suppress with "
+        "`# repro: allow[perf-uncached-digest]` and a justification "
+        "where the call must hash (the measurement kernel, a one-shot "
+        "reference build, verifier-side recomputation)"
     ),
 )
 def check_uncached_digest(ctx: ModuleContext) -> Iterable:
@@ -140,8 +138,8 @@ def check_uncached_digest(ctx: ModuleContext) -> Iterable:
                 yield this.finding(
                     ctx, call,
                     f"{func.name}() hashes freshly read block contents "
-                    f"via {_called_name(call) or 'hashlib'}() without "
-                    f"consulting the digest cache",
+                    f"via {_called_name(call) or 'hashlib'}() instead "
+                    f"of reusing the measurement's audit hashes",
                 )
 
 

@@ -13,7 +13,6 @@ import pytest
 from repro.perf import bench
 from repro.perf.bench import (
     BENCH_VERSION,
-    bench_digest_cache,
     bench_drbg_randbelow,
     bench_engine_dispatch,
     bench_hmac_keyed,
@@ -186,12 +185,6 @@ class TestTimingStats:
 
 
 class TestMicroBenches:
-    def test_digest_cache_bench_shape(self):
-        result = bench_digest_cache(quick=True)
-        (name, payload), = result.items()
-        assert payload["primary"] in payload
-        assert payload[payload["primary"]] > 0
-
     def test_trace_serialize_bench_shape(self, tmp_path):
         result = bench_trace_serialize(True, tmp_path)
         (name, payload), = result.items()

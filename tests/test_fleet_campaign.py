@@ -55,6 +55,43 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError):
             RunSpec.from_dict({"mechanism": "smart", "bogus": 1})
 
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ConfigurationError, match="md5"):
+            RunSpec(algorithm="md5")
+
+    @pytest.mark.parametrize(
+        "field", ["block_count", "block_size", "sim_block_size"]
+    )
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_non_positive_geometry_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RunSpec(**{field: value})
+
+
+class TestPlanTimeValidation:
+    """A bad hash algorithm or geometry fails when the campaign is
+    planned, not as an ``error`` outcome inside every worker."""
+
+    def spec(self, base=None, axes=None):
+        return CampaignSpec.from_dict({
+            "name": "bad",
+            "base": base or {},
+            "axes": axes or {"mechanism": ["smart"]},
+            "seeds": [0, 1],
+        })
+
+    def test_base_algorithm_rejected(self):
+        with pytest.raises(ConfigurationError, match="md5"):
+            self.spec(base={"algorithm": "md5"}).plan()
+
+    def test_axis_algorithm_rejected(self):
+        with pytest.raises(ConfigurationError, match="md5"):
+            self.spec(axes={"algorithm": ["sha256", "md5"]}).plan()
+
+    def test_zero_block_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="block_count"):
+            self.spec(base={"block_count": 0}).plan()
+
 
 class TestPlanner:
     def test_expansion_count(self):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 
 class TestPlan:
@@ -28,6 +29,21 @@ class TestPlan:
         assert main(["fleet", "plan", "--spec", str(spec_file)]) == 0
         out = capsys.readouterr().out
         assert "from-file" in out and "4 runs" in out
+
+    @pytest.mark.parametrize("base", [
+        {"algorithm": "md5"},
+        {"block_count": 0},
+    ])
+    def test_bad_spec_rejected_before_any_run(self, tmp_path, base):
+        spec_file = tmp_path / "campaign.json"
+        spec_file.write_text(json.dumps({
+            "name": "bad", "base": base,
+            "axes": {"mechanism": ["smart"]}, "seeds": [0],
+        }))
+        with pytest.raises(ConfigurationError):
+            main(["fleet", "run", "--spec", str(spec_file),
+                  "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

@@ -250,3 +250,7 @@ class TestConfigValidation:
     def test_negative_release_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             MeasurementConfig(release_delay=-1.0)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ConfigurationError, match="md5"):
+            MeasurementConfig(algorithm="md5")

@@ -1,36 +1,32 @@
-"""ReferenceStore + batched miss path: byte identity and sharing.
+"""ReferenceStore interning and single-measurement goldens.
 
-The cold-path layer is pure memoization: every byte and every audit
-hash the store hands out must equal what the uncached generators
-produce, the interned image must actually be *shared* (one copy per
-process, not per device), and none of it may leak across ``seed`` /
-``block_size`` or show up in simulated time.  The golden tests here
-focus on the cache-miss fill specifically -- the hit path is pinned by
-``tests/test_perf_cache.py``.
+The cold-path layer is pure memoization: every byte the store hands
+out must equal what the uncached generator produces, the interned
+image must actually be *shared* (one copy per process, not per
+device), and none of it may leak across ``seed`` / ``block_size`` or
+show up in simulated time.  The golden tests here pin single
+measurements of a fresh prover -- cold, dirtied, shuffled, and across
+a reset -- to ``tests/golden/measurement_kernel.json``; the scenario
+matrix is pinned by ``tests/test_perf_cache.py``.
 """
 
 import tracemalloc
 
 import pytest
 
-from repro.core.tradeoff import ScenarioConfig
 from repro.errors import ConfigurationError
-from repro.perf.digest_cache import DigestCache
 from repro.perf.reference_store import (
-    AUDIT_LEN,
     ReferenceStore,
     raw_benign_fill,
     set_reference_store,
 )
-from repro.ra.measurement import MeasurementConfig, MeasurementProcess
-from repro.scenario import Scenario
-from repro.sim.device import Device
-from repro.sim.engine import Simulator
-from repro.sim.memory import (
-    FINGERPRINT_LEN,
-    Memory,
-    benign_fill,
-    content_fingerprint,
+from repro.sim.memory import Memory, benign_fill, content_fingerprint
+from tests.kernel_golden import (
+    load_golden,
+    make_device,
+    run_measurement,
+    run_scenario,
+    single_measurement,
 )
 
 
@@ -59,17 +55,6 @@ class TestByteIdentity:
         assert first == raw_benign_fill(3, 32, 9)
         # second call returns the interned object itself
         assert benign_fill(3, 32, seed=9) is first
-
-    def test_audit_matches_content_fingerprint(self, fresh_store):
-        image = fresh_store.image(7, 64)
-        for index in range(4):
-            assert image.audit(index) == \
-                content_fingerprint(image.block(index))
-
-    def test_audit_len_matches_memory_fingerprint_len(self):
-        # the import direction (sim.memory -> perf.reference_store)
-        # forbids sharing the constant; pin the equality instead
-        assert AUDIT_LEN == FINGERPRINT_LEN
 
 
 # -- isolation and bounding -----------------------------------------------
@@ -123,7 +108,7 @@ class TestSharing:
 
     def test_devices_share_one_interned_tuple(self, fresh_store):
         first, second = self.make_memory(), self.make_memory()
-        assert first.reference_blocks() is second.reference_blocks()
+        assert first.benign_image() == second.benign_image()
         for index in range(16):
             assert first.benign_block(index) is second.benign_block(index)
             # pristine reads alias the interned bytes: zero-copy and
@@ -160,107 +145,57 @@ class TestSharing:
         # reference_store.py; sharing allocates none of them
         assert grown < image_bytes // 2
         assert all(
-            memory.reference_blocks() is memories[0].reference_blocks()
+            memory.benign_block(index) is memories[0].benign_block(index)
             for memory in memories
+            for index in range(128)
         )
 
 
-# -- golden equality of the batched miss path -----------------------------
+# -- single-measurement goldens ------------------------------------------
 
 
-def run_measurement(device, config=None, until=100.0):
-    config = config or MeasurementConfig()
-    mp = MeasurementProcess(device, config, nonce=b"n", counter=1,
-                            mechanism="test")
-    device.cpu.spawn("mp", mp.run, priority=config.priority)
-    device.sim.run(until=until)
-    assert mp.record is not None
-    return mp.record
-
-
-def make_device(cache, block_count=24, **kw):
-    sim = Simulator()
-    return Device(sim, block_count=block_count, block_size=32,
-                  digest_cache=DigestCache() if cache else None, **kw)
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden()
 
 
 class TestMissPathGolden:
-    """All-miss traversals take the batched miss path (cache on) vs the
-    generic event-per-block path (cache off / seed path); everything
-    observable must be byte-identical."""
+    """Single measurements of a fresh prover: trace bytes, record
+    digests, audit hashes and block timestamps match the golden."""
 
-    def test_cold_traversal_identical_to_seed_path(self):
-        off = make_device(cache=False)
-        on = make_device(cache=True)
-        rec_off = run_measurement(off)
-        rec_on = run_measurement(on)
-        assert off.trace.render() == on.trace.render()
-        assert rec_off.digest == rec_on.digest
-        assert rec_off.audit_block_hashes == rec_on.audit_block_hashes
-        assert rec_off.audit_block_times == rec_on.audit_block_times
-        stats = on.digest_cache.stats()
-        assert stats["misses"] == on.block_count and stats["hits"] == 0
+    def test_cold_traversal_identical_to_seed_path(self, golden):
+        assert single_measurement("cold") == golden["single/cold"]
 
-    def test_dirty_blocks_do_not_reuse_benign_audit(self):
-        results = {}
-        for cache in (False, True):
-            device = make_device(cache=cache)
-            device.memory.write(5, b"\xee" * 32, actor="malware")
-            results[cache] = (run_measurement(device), device)
-        rec_off, rec_on = results[False][0], results[True][0]
-        assert rec_off.audit_block_hashes == rec_on.audit_block_hashes
-        assert rec_off.digest == rec_on.digest
-        dirty = results[True][1].memory
-        # the dirty block's audit is of the *measured* content, not the
-        # interned reference
-        assert rec_on.audit_block_hashes[5] == \
-            content_fingerprint(dirty.read_block(5))
-        assert rec_on.audit_block_hashes[5] != dirty.benign_audit(5)
+    def test_dirty_block_audit_is_of_measured_content(self, golden):
+        assert single_measurement("dirty5") == golden["single/dirty5"]
+        device = make_device()
+        device.memory.write(5, b"\xee" * 32, actor="malware")
+        record = run_measurement(device)
+        # the dirty block's audit is of the *measured* content, not
+        # the interned reference
+        assert record.audit_block_hashes[5] == \
+            content_fingerprint(device.memory.read_block(5))
+        assert record.audit_block_hashes[5] != \
+            content_fingerprint(device.memory.benign_block(5))
 
-    def test_shuffled_order_identical(self):
-        config = MeasurementConfig(order="shuffled")
-        off = make_device(cache=False)
-        on = make_device(cache=True)
-        rec_off = run_measurement(off, config)
-        rec_on = run_measurement(on, config)
-        assert off.trace.render() == on.trace.render()
-        assert rec_off.digest == rec_on.digest
+    def test_shuffled_order_identical(self, golden):
+        assert single_measurement("shuffled") == golden["single/shuffled"]
 
-    def test_second_traversal_after_reset_refills(self):
-        def run_twice(cache):
-            device = make_device(cache=cache)
-            first = run_measurement(device, until=100.0)
-            device.reset()
-            second = run_measurement(device, until=300.0)
-            return device, first, second
-
-        off_dev, off1, off2 = run_twice(False)
-        on_dev, on1, on2 = run_twice(True)
-        assert off_dev.trace.render() == on_dev.trace.render()
-        assert (off1.digest, off2.digest) == (on1.digest, on2.digest)
-        # reset orphaned every entry: the second traversal is all-miss
-        stats = on_dev.digest_cache.stats()
-        assert stats["misses"] == 2 * on_dev.block_count
-        assert stats["invalidations"] == 1
+    def test_second_traversal_after_reset_refills(self, golden):
+        result = single_measurement("reset")
+        assert result == golden["single/reset"]
+        # the reset does not touch RAM: both traversals see the same
+        # contents and, with the same nonce and counter, the same digest
+        first, second = result["records"]
+        assert first["digest"] == second["digest"]
 
     def test_store_state_never_leaks_into_sim_time(self):
         """A warm process store and a cold one produce byte-identical
         runs: interning is invisible in simulated time."""
-        config = ScenarioConfig(block_count=24, horizon=25.0,
-                                erasmus_collect_at=20.0)
-
-        def run_smarm():
-            scenario = Scenario.build("smarm", digest_cache=True,
-                                      config=config)
-            scenario.run()
-            return scenario.device.trace.render(), [
-                result.verdict for result in scenario.verifier.results
-            ]
-
-        warm = run_smarm()  # global store already warm from other tests
+        warm = run_scenario("smarm")  # global store already warm
         previous = set_reference_store(ReferenceStore())
         try:
-            cold = run_smarm()
+            cold = run_scenario("smarm")
         finally:
             set_reference_store(previous)
         assert warm == cold

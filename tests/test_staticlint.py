@@ -704,7 +704,7 @@ class TestPerfUncachedDigestRule:
         assert [f.rule_id for f in found] == [self.RULE]
         assert found[0].line == 2
         assert "audit_hash" in found[0].message
-        assert "digest cache" in found[0].message
+        assert "audit hashes" in found[0].message
 
     def test_benign_block_source_flagged(self):
         src = (
