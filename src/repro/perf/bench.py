@@ -477,8 +477,9 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
     The workload mirrors what an epoch drain sees in a storm: a cohort
     of provers sharing one reference image, each shipping an
     ERASMUS-style history ring, so consecutive reports re-carry the
-    same records.  Batch mode pays one keyed-digest pass per unique
-    record signature; serial re-walks the reference for every copy.
+    same records.  Batch mode memoizes expected digests for the batch,
+    so each distinct record is digested once; serial recomputes the
+    digest for every copy.
     """
     from repro.ra.report import AttestationReport
     from repro.ra.verifier import Verifier
@@ -526,6 +527,42 @@ def bench_verifier_batch(quick: bool) -> Dict[str, Dict[str, Any]]:
             "gate_threshold": GATE_RATIO,
             "primary": "speedup",
             "direction": "higher",
+        }
+    }
+
+
+def bench_expected_digest(quick: bool) -> Dict[str, Dict[str, Any]]:
+    """Micro: one :func:`~repro.ra.measurement.expected_digest` over a
+    storm1k-sized reference image (128 blocks of 64 B), the per-record
+    cost of verification and of a load-generator measurement."""
+    from repro.ra.measurement import expected_digest
+    from repro.vserver.loadgen import cohort_image, prover_key
+
+    blocks = 128
+    block_size = 64
+    digests = 500 if quick else 2_000
+    image = cohort_image("bench", blocks, block_size)
+    key = prover_key("bench")
+    measured = range(blocks)
+
+    def work() -> None:
+        for counter in range(digests):
+            expected_digest(
+                key, image, "sha256", b"bench", counter, measured,
+                "sequential", b"",
+            )
+
+    samples = _samples_of(work, repeats=3 if quick else 5)
+    return {
+        "verifier.expected_digest": {
+            "us_per_digest": min(samples) * 1e6 / digests,
+            "digests": digests,
+            "blocks": blocks,
+            "block_size": block_size,
+            "gate_threshold": GATE_ABSOLUTE,
+            **timing_stats(samples),
+            "primary": "us_per_digest",
+            "direction": "lower",
         }
     }
 
@@ -781,6 +818,7 @@ def run_suite(quick: bool = False, workdir: Optional[Any] = None) -> Dict[str, A
     benches.update(bench_trace_serialize(quick, workdir))
     benches.update(bench_fleet_incremental(quick, workdir))
     benches.update(bench_fleet_stream(quick, workdir))
+    benches.update(bench_expected_digest(quick))
     benches.update(bench_verifier_batch(quick))
     benches.update(bench_verifier_storm(quick))
     benches.update(bench_obs_overhead(quick))

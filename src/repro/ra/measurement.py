@@ -28,6 +28,7 @@ mechanism (any real malware is slower).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, List, Optional, Sequence
 
 from repro.crypto.drbg import HmacDrbg
@@ -378,14 +379,24 @@ def expected_digest(
     any divergence between prover memory and the reference changes the
     result.  ``normalized_blocks`` are the mutable blocks that
     contribute zeros when the record is normalized (Section 2.3).
+
+    MP feeds the MAC one block per ``update``; here the visited blocks
+    are gathered in visit order and hashed in a single ``update``.  An
+    HMAC depends only on the concatenated input, not on how it is
+    chunked, so the digest is the same.
     """
-    visit = traversal_order(list(measured_blocks), order, order_seed)
+    visit = traversal_order(measured_blocks, order, order_seed)
+    blocks = reference_blocks
+    if normalized_blocks:
+        zeroed = normalized_blocks.intersection(visit)
+        if zeroed:
+            blocks = list(reference_blocks)
+            for block_index in zeroed:
+                blocks[block_index] = bytes(len(blocks[block_index]))
     mac = Hmac(key, algorithm)
     mac.update(nonce + counter.to_bytes(8, "big"))
-    normalized = normalized_blocks or frozenset()
-    for block_index in visit:
-        if block_index in normalized:
-            mac.update(b"\x00" * len(reference_blocks[block_index]))
-        else:
-            mac.update(reference_blocks[block_index])
+    if len(visit) > 1:
+        mac.update(b"".join(itemgetter(*visit)(blocks)))
+    elif visit:
+        mac.update(blocks[visit[0]])
     return mac.digest()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hmac import Hmac, constant_time_equal
+from repro.crypto.hmac import constant_time_equal
 from repro.errors import ConfigurationError
 from repro.ra.measurement import expected_digest
 from repro.ra.report import (
@@ -94,9 +94,9 @@ class Verifier:
         # creation order -- and snapshots -- unchanged
         self._verdict_counters: Dict[str, Any] = {}
         self._freshness_hist: Optional[Any] = None
-        #: batch-scoped expected-digest memo; populated only inside
-        #: :meth:`verify_batch` so one-by-one verification stays on the
-        #: seed-identical recomputation path
+        #: batch-scoped expected-digest memo: set only inside
+        #: :meth:`verify_batch` and filled by :meth:`expected_for`, so
+        #: one-by-one verification keeps nothing between reports
         self._expected_memo: Optional[Dict[tuple, bytes]] = None
 
     def verify_cost(self, report: AttestationReport) -> float:
@@ -251,8 +251,10 @@ class Verifier:
         contents stand in for the reference's data blocks -- the code
         region must still match the golden image exactly.
         """
-        if self._expected_memo is not None:
-            cached = self._expected_memo.get(self._memo_key(record))
+        memo = self._expected_memo
+        if memo is not None:
+            memo_key = self._memo_key(record)
+            cached = memo.get(memo_key)
             if cached is not None:
                 return cached
         profile = self.profile(record.device)
@@ -263,7 +265,7 @@ class Verifier:
             for block_index, content in record.data_copy:
                 blocks[block_index] = bytes(content)
             reference = tuple(blocks)
-        return expected_digest(
+        expected = expected_digest(
             profile.key,
             reference,
             record.algorithm,
@@ -276,6 +278,9 @@ class Verifier:
                 profile.mutable_blocks if record.normalized else None
             ),
         )
+        if memo is not None:
+            memo[memo_key] = expected
+        return expected
 
     def verify_record(self, record: MeasurementRecord) -> Verdict:
         """HEALTHY iff the record's digest matches the reference state.
@@ -405,71 +410,6 @@ class Verifier:
 
     # -- epoch batching -------------------------------------------------------
 
-    def _precompute_expected(
-        self, entries: Sequence[Tuple[AttestationReport, Dict]]
-    ) -> Dict[tuple, bytes]:
-        """Expected digests for every distinct record in ``entries``.
-
-        Sequential-order records without an attached data copy share
-        the per-device reference traversal: all their keyed MACs are
-        advanced together in one pass over the reference image, so a
-        batch of k same-epoch reports pays one block walk instead of
-        k.  Shuffled (SMARM) and data-copy records fall back to the
-        per-record recomputation, still deduplicated by memo key.
-        """
-        memo: Dict[tuple, bytes] = {}
-        groups: Dict[tuple, List[Tuple[tuple, MeasurementRecord]]] = {}
-        for report, _kwargs in entries:
-            if report.device not in self.devices:
-                continue  # verify_report raises at this entry's turn
-            for record in report.records:
-                key = self._memo_key(record)
-                if key in memo:
-                    continue
-                if record.order_seed or record.data_copy:
-                    try:
-                        memo[key] = self.expected_for(record)
-                    except ConfigurationError:
-                        pass  # surfaces identically at verify time
-                    continue
-                sig = (
-                    record.device,
-                    record.algorithm,
-                    record.region,
-                    record.normalized,
-                )
-                members = groups.get(sig)
-                if members is None:
-                    members = groups[sig] = []
-                members.append((key, record))
-                memo[key] = b""  # claimed; overwritten by the pass
-        for sig, members in groups.items():
-            device, algorithm, _region, normalized = sig
-            profile = self.devices[device]
-            try:
-                blocks = self._measured_blocks(profile, members[0][1])
-            except ConfigurationError:
-                for key, _record in members:
-                    del memo[key]
-                continue
-            macs: List[Hmac] = []
-            for _key, record in members:
-                mac = Hmac(profile.key, algorithm)
-                mac.update(record.nonce + record.counter.to_bytes(8, "big"))
-                macs.append(mac)
-            zeroed = profile.mutable_blocks if normalized else frozenset()
-            reference = profile.reference
-            for block_index in blocks:
-                if block_index in zeroed:
-                    chunk = b"\x00" * len(reference[block_index])
-                else:
-                    chunk = reference[block_index]
-                for mac in macs:
-                    mac.update(chunk)
-            for (key, _record), mac in zip(members, macs):
-                memo[key] = mac.digest()
-        return memo
-
     def verify_batch(
         self, entries: Sequence[Tuple[AttestationReport, Dict]]
     ) -> List[VerificationResult]:
@@ -481,11 +421,12 @@ class Verifier:
         ``counter_stream``).  Verdicts, details and result-history
         side effects are byte-identical to calling
         :meth:`verify_report` once per entry in the same order -- the
-        batch only amortizes expected-digest recomputation by
-        precomputing one memo for the whole epoch (shared reference
-        traversals, duplicate records digested once).
+        batch only elides recomputation: :meth:`expected_for` memoizes
+        each expected digest for the rest of the batch, so a record
+        that several reports re-carry (an ERASMUS-style history ring)
+        is digested once.
         """
-        self._expected_memo = self._precompute_expected(entries)
+        self._expected_memo = {}
         try:
             return [
                 self.verify_report(report, **kwargs)

@@ -105,7 +105,7 @@ class SimProver:
             self.algorithm,
             nonce,
             self.counter,
-            list(range(len(self.image))),
+            range(len(self.image)),
             "sequential",
             b"",
         )

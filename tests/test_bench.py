@@ -15,6 +15,7 @@ from repro.perf.bench import (
     BENCH_VERSION,
     bench_drbg_randbelow,
     bench_engine_dispatch,
+    bench_expected_digest,
     bench_hmac_keyed,
     bench_memory_fill,
     bench_trace_serialize,
@@ -223,6 +224,16 @@ class TestMicroBenches:
         assert name == "drbg.randbelow"
         assert payload["direction"] == "higher"
         assert payload[payload["primary"]] > 0
+
+    def test_expected_digest_bench_shape(self):
+        result = bench_expected_digest(quick=True)
+        (name, payload), = result.items()
+        assert name == "verifier.expected_digest"
+        assert payload["primary"] == "us_per_digest"
+        assert payload["direction"] == "lower"
+        assert payload["us_per_digest"] > 0
+        assert (payload["blocks"], payload["block_size"]) == (128, 64)
+        assert payload["gate_threshold"] == bench.GATE_ABSOLUTE
 
     def test_git_revision_is_short_string(self):
         revision = git_revision()
