@@ -23,8 +23,7 @@ from repro.ra import Verifier
 from repro.ra.erasmus import CollectorVerifier, ErasmusService
 from repro.ra.measurement import MeasurementConfig
 from repro.ra.seed import SeedMonitor, SeedService
-from repro.ra.report import Verdict
-from repro.sim import Channel, Device, DropAdversary, Simulator
+from repro.sim import Channel, Device, Simulator
 
 
 def main() -> None:

@@ -117,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_campaign_options(p):
         p.add_argument("--campaign", default="qoa",
-                       help="canned campaign name "
-                            "(qoa, matrix, locking, hetero)")
+                       help="canned campaign name (qoa, matrix, "
+                            "locking, faults, vserver, hetero)")
         p.add_argument("--spec", default=None,
                        help="JSON campaign spec file (overrides --campaign)")
         p.add_argument("--seeds", type=int, default=None,
@@ -182,7 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     summ = fleet_sub.add_parser(
         "summarize", help="re-aggregate an existing runs.jsonl"
     )
-    summ.add_argument("--campaign", default="qoa")
+    summ.add_argument("--campaign", default="qoa",
+                      help="canned campaign key or campaign spec name")
     summ.add_argument("--out", default="fleet-artifacts")
 
     lint = sub.add_parser(
@@ -304,14 +305,22 @@ def _run_fleet(args: argparse.Namespace) -> str:
     from repro import fleet
 
     if args.fleet_command == "summarize":
-        paths = fleet.artifact_paths(args.out, args.campaign)
+        # artifacts live under the spec name (`faults` -> fault-matrix/)
+        name = args.campaign
+        rerun = "--spec FILE"
+        for key, factory in fleet.CANNED_CAMPAIGNS.items():
+            spec_name = factory().name
+            if name in (key, spec_name):
+                name, rerun = spec_name, f"--campaign {key}"
+                break
+        paths = fleet.artifact_paths(args.out, name)
         if not paths.runs.exists():
             raise SystemExit(
                 f"no artifacts at {paths.runs}; run "
-                f"`repro fleet run --campaign {args.campaign}` first"
+                f"`repro fleet run {rerun} --out {args.out}` first"
             )
         results = fleet.read_results_jsonl(paths.runs)
-        return fleet.summarize(results, campaign=args.campaign).render()
+        return fleet.summarize(results, campaign=name).render()
 
     if args.fleet_command == "worker":
         lines = []

@@ -73,8 +73,7 @@ class ConsistencyAnalyzer:
 
         The last committed write at or before ``time`` determines the
         content; with no prior write the block still holds its benign
-        fill.  (Assumes memory was not re-flashed via ``load_image``
-        mid-run, which bypasses the log.)
+        fill.  Every applied write is logged, so the log is complete.
         """
         fingerprint = self._benign[block_index]
         for record in self.memory.write_log:

@@ -31,8 +31,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.consistency import expected_consistency
 from repro.core.solution import Feature, solution_by_key
 from repro.errors import ConfigurationError
-from repro.malware.relocating import SelfRelocatingMalware
-from repro.malware.transient import TransientMalware
 from repro.ra.erasmus import ErasmusService
 from repro.ra.locking import make_policy
 from repro.ra.measurement import MeasurementConfig
@@ -186,32 +184,6 @@ class ScenarioOutcome:
     malware_blocked_actions: int = 0
     lock_ops: int = 0
 
-    def summary(self) -> str:
-        return (
-            f"{self.mechanism:<10} vs {self.adversary:<10} "
-            f"detected={str(self.detected):<5} "
-            f"mp={self.mp_duration:.3f}s "
-            f"intr={self.mp_interruptions:<3} "
-            f"task_worst={self.task_worst_response * 1e3:7.1f}ms "
-            f"probes={self.probe.succeeded}/{self.probe.attempted}"
-        )
-
-
-def _install_adversary(device: Device, adversary: str,
-                       config: ScenarioConfig):
-    if adversary == "none":
-        return None
-    if adversary == "relocating":
-        return SelfRelocatingMalware(
-            device, target_block=config.malware_block,
-            infect_at=config.infect_at, strategy="to-measured",
-        )
-    if adversary == "transient":
-        return TransientMalware(
-            device, target_block=config.malware_block,
-            infect_at=config.infect_at, reactive=True, reappear=True,
-        )
-    raise ConfigurationError(f"unknown adversary {adversary!r}")
 
 
 def _schedule_probes(device: Device, config: ScenarioConfig,
@@ -377,11 +349,6 @@ class EvaluationMatrix:
                 else Feature.PARTIAL
             )
         return Feature.NO
-
-    def overhead_seconds(self, mechanism: str) -> float:
-        outcome = self.outcome(mechanism, "none")
-        rounds = max(1, len([v for v in outcome.verdicts]))
-        return outcome.mp_duration
 
     # -- rendering ---------------------------------------------------------------
 

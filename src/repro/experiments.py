@@ -16,7 +16,6 @@ TAB1      :func:`table1` -- the feature matrix, empirically
 SEC24     :func:`sec24_anchors` -- in-text timing numbers
 SEC25     :func:`sec25_firealarm` -- fire-alarm latency per mechanism
 SEC32     :func:`sec32_smarm` -- SMARM escape probabilities
-FLEET     :func:`fleet_qoa` -- Figure 5's QoA sweep at fleet scale
 ========  ==========================================================
 """
 
@@ -597,90 +596,6 @@ class Sec32Result:
             "10^-6')"
         )
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# FLEET -- the Figure 5 QoA story, hundreds of provers deep
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FleetQoAResult:
-    """Aggregated detection statistics from the canned QoA campaign."""
-
-    campaign_name: str
-    run_count: int
-    execution_summary: str
-    #: (t_m, dwell) -> (analytic detection probability, empirical rate)
-    curves: Dict[Tuple[float, float], Tuple[float, float]]
-    summary_text: str
-
-    def render(self) -> str:
-        lines = [
-            f"fleet campaign {self.campaign_name}: {self.run_count} "
-            "independent ERASMUS provers vs transient malware",
-            self.execution_summary,
-            "",
-            f"{'T_M':>6} {'dwell':>7} {'P(detect) analytic':>19} "
-            f"{'empirical':>10}",
-        ]
-        for (t_m, dwell), (analytic, empirical) in sorted(self.curves.items()):
-            lines.append(
-                f"{t_m:>6g} {dwell:>7g} {analytic:>19.2f} {empirical:>10.2f}"
-            )
-        lines.extend(["", self.summary_text])
-        return "\n".join(lines)
-
-
-def fleet_qoa(seed_count: int = 6) -> FleetQoAResult:
-    """Run the canned QoA fleet campaign and fold the per-run detection
-    outcomes into detection-probability curves over (T_M, dwell) --
-    Figure 5's two anecdotes, made quantitative by seed replication.
-
-    The campaign runs serially through :func:`repro.fleet.run_pipeline`
-    into a scratch directory; the curves are folded from the
-    ``runs.jsonl`` artifact it writes.
-    """
-    import tempfile
-
-    from repro.fleet import (
-        SerialBackend,
-        qoa_fleet_campaign,
-        read_results_jsonl,
-        run_pipeline,
-    )
-
-    campaign = qoa_fleet_campaign(seed_count=seed_count)
-    with tempfile.TemporaryDirectory() as out_dir:
-        report = run_pipeline(
-            campaign, out_dir=out_dir, backend=SerialBackend()
-        )
-        results = read_results_jsonl(report.paths.runs)
-
-    buckets: Dict[Tuple[float, float], List[bool]] = {}
-    analytic: Dict[Tuple[float, float], float] = {}
-    for result in results:
-        if not result.ok:
-            continue
-        key = (result.spec["t_m"], result.spec["dwell"])
-        buckets.setdefault(key, []).append(result.detected)
-        probability = result.qoa.get("detection_probability")
-        if probability is not None:
-            analytic[key] = probability
-    curves = {
-        key: (
-            analytic.get(key, 0.0),
-            sum(hits) / len(hits) if hits else 0.0,
-        )
-        for key, hits in buckets.items()
-    }
-    return FleetQoAResult(
-        campaign_name=campaign.name,
-        run_count=len(results),
-        execution_summary=report.summary_line(),
-        curves=curves,
-        summary_text=report.summary.render(),
-    )
 
 
 def sec32_smarm(n_blocks: int = 64, trials: int = 4000) -> Sec32Result:

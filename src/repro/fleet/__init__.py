@@ -57,7 +57,6 @@ from repro.fleet.results import (
     GroupSummary,
     StreamingAggregator,
     artifact_paths,
-    percentile,
     read_manifest,
     read_results_jsonl,
     summarize,
@@ -121,7 +120,6 @@ __all__ = [
     "matrix_fleet_campaign",
     "monotonic_time",
     "perf_time",
-    "percentile",
     "plan_hash",
     "qoa_fleet_campaign",
     "read_manifest",

@@ -22,34 +22,14 @@ rates, QoA detection probabilities, measurement durations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.fleet.telemetry import ExchangeSketch, RunResult, ValueSketch
 
 MANIFEST_VERSION = 1
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]); no numpy."""
-    if not values:
-        raise ConfigurationError("percentile of empty sequence")
-    if not 0.0 <= q <= 100.0:
-        raise ConfigurationError("q must be within [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q / 100.0
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return ordered[low]
-    fraction = position - low
-    return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +71,10 @@ def read_results_jsonl(path: Any) -> List[RunResult]:
 class GroupSummary:
     """Aggregates over one (mechanism, adversary) cell.
 
-    Every field is a bounded, merge-able partial: counters, running
-    sums, and :class:`ValueSketch` distributions.  No per-run list is
-    retained, so a cell's footprint is independent of how many runs
-    fold into it, and two cells built from disjoint shard streams
-    combine exactly via :meth:`merge`.
+    Every field is a bounded partial: counters, running sums, and
+    :class:`ValueSketch` distributions.  No per-run list is retained,
+    so a cell's footprint is independent of how many runs fold into
+    it.
     """
 
     mechanism: str
@@ -169,42 +148,6 @@ class GroupSummary:
             )
         self.fold_trace_summary(result.trace_summary)
         self.fold_slo(result.slo)
-
-    def merge(self, other: "GroupSummary") -> "GroupSummary":
-        """Combine another cell's partials into this one.
-
-        Associative and commutative up to float-addition rounding, so
-        per-shard partial summaries reduce in any arrival order.
-        """
-        self.runs += other.runs
-        self.ok += other.ok
-        self.errors += other.errors
-        self.timeouts += other.timeouts
-        self.detected += other.detected
-        self.detection_latency.merge(other.detection_latency)
-        self.miss_rate_sum += other.miss_rate_sum
-        self.miss_rate_count += other.miss_rate_count
-        self.worst_response = max(self.worst_response, other.worst_response)
-        self.write_faults += other.write_faults
-        self.mp_duration.merge(other.mp_duration)
-        self.detection_probability_sum += other.detection_probability_sum
-        self.detection_probability_count += other.detection_probability_count
-        for name, value in other.telemetry_totals.items():
-            self.telemetry_totals[name] = (
-                self.telemetry_totals.get(name, 0.0) + value
-            )
-        if other.exchange_sketch is not None:
-            if self.exchange_sketch is None:
-                self.exchange_sketch = ExchangeSketch.from_dict(
-                    other.exchange_sketch.to_dict()
-                )
-            else:
-                self.exchange_sketch.merge(other.exchange_sketch)
-        self.traces += other.traces
-        self.slo_alerts += other.slo_alerts
-        self.slo_violations += other.slo_violations
-        self.cache_hits += other.cache_hits
-        return self
 
     def fold_trace_summary(self, summary: Dict[str, Any]) -> None:
         """Merge one run's ``trace_summary`` without rehydrating spans."""
@@ -353,9 +296,7 @@ class StreamingAggregator:
     The *reduce* stage of the campaign pipeline: results fold one at a
     time into per-(mechanism, adversary) :class:`GroupSummary` cells
     and a status histogram; nothing per-run is retained, so peak
-    memory is a function of cell count, never run count.  Whole
-    aggregators combine via :meth:`merge` -- the unit of cross-shard
-    (or cross-host) reduction.
+    memory is a function of cell count, never run count.
 
     :func:`summarize` is this class applied to an in-RAM batch, so a
     summary folded from a list and one streamed through the pipeline
@@ -381,20 +322,6 @@ class StreamingAggregator:
         if group is None:
             group = self.groups[key] = GroupSummary(mechanism, adversary)
         group.fold(result)
-
-    def merge(self, other: "StreamingAggregator") -> "StreamingAggregator":
-        self.total += other.total
-        self.campaign = self.campaign or other.campaign
-        for status, count in other.status_counts.items():
-            self.status_counts[status] = (
-                self.status_counts.get(status, 0) + count
-            )
-        for key, group in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = mine = GroupSummary(key[0], key[1])
-            mine.merge(group)
-        return self
 
     def summary(self) -> CampaignSummary:
         return CampaignSummary(

@@ -51,8 +51,8 @@ class ValueSketch:
     :data:`SKETCH_BUCKETS` geometry.  A million-run campaign folds any
     per-run scalar (detection latency, MP duration) into a handful of
     integers, so peak aggregator memory is independent of run count.
-    ``merge`` is associative and commutative, which is what lets
-    per-shard partial summaries reduce in any arrival order.
+    ``merge`` is associative and commutative, so the per-run exchange
+    sketches (:class:`ExchangeSketch`) fold in any arrival order.
     """
 
     __slots__ = ("count", "sum", "min", "max", "bucket_counts")
@@ -301,19 +301,6 @@ class RunResult:
         if not released:
             return 0.0
         return self.availability.get("deadline_misses", 0) / released
-
-    def summary_line(self) -> str:
-        spec = self.spec
-        tail = (
-            f"detected={self.detected} mp={self.mp_duration:.3f}s "
-            f"measurements={self.measurements}"
-            if self.ok
-            else f"{self.status}: {self.error.splitlines()[-1] if self.error else '?'}"
-        )
-        return (
-            f"{self.run_id:<44} {spec.get('mechanism', '?'):<9} "
-            f"vs {spec.get('adversary', '?'):<10} {tail}"
-        )
 
 
 def failure_result(

@@ -155,38 +155,6 @@ class Histogram:
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile from the cumulative buckets.
-
-        Linear interpolation inside the containing bucket (the
-        Prometheus ``histogram_quantile`` convention), clamped to the
-        exact observed ``[min, max]`` so degenerate single-bucket
-        distributions stay honest.  Returns 0.0 on an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigurationError("quantile q must be in [0, 1]")
-        if not self.count:
-            return 0.0
-        rank = q * self.count
-        cumulative = 0
-        for i, bucket in enumerate(self.bucket_counts):
-            if not bucket:
-                continue
-            previous = cumulative
-            cumulative += bucket
-            if cumulative < rank:
-                continue
-            if i == len(self.bounds):
-                # +Inf bucket: no finite upper bound to interpolate to
-                return self.max
-            lower = self.bounds[i - 1] if i else 0.0
-            upper = self.bounds[i]
-            estimate = lower + (upper - lower) * (
-                (rank - previous) / bucket
-            )
-            return min(max(estimate, self.min), self.max)
-        return self.max
-
     def sample(self) -> Dict[str, Any]:
         return {
             "count": self.count,

@@ -110,22 +110,6 @@ class SLObjective:
         if self.burn_threshold <= 0:
             raise ConfigurationError("burn threshold must be > 0")
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "target": self.target,
-            "source": self.source,
-            "short_window": self.short_window,
-            "long_window": self.long_window,
-            "burn_threshold": self.burn_threshold,
-        }
-        if self.total_source:
-            out["total_source"] = self.total_source
-        if self.threshold:
-            out["threshold"] = self.threshold
-        return out
-
 
 @dataclass
 class _ObjectiveState:

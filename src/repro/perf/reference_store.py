@@ -133,12 +133,6 @@ class ReferenceStore:
         """Interned benign contents (``benign_fill`` argument order)."""
         return self.image(seed, block_size).block(block_index)
 
-    def clear(self) -> int:
-        """Drop every interned image (test isolation).  Returns count."""
-        dropped = len(self._images)
-        self._images.clear()
-        return dropped
-
     def stats(self) -> Dict[str, float]:
         """Counters for telemetry / bench output."""
         return {
@@ -157,15 +151,8 @@ class ReferenceStore:
 
 
 #: the process-wide store every Memory consults; tests that
-#: need isolation swap or clear it explicitly
+#: need isolation swap it explicitly
 REFERENCE_STORE = ReferenceStore()
-
-
-def interned_image(
-    block_count: int, block_size: int, seed: int
-) -> Tuple[bytes, ...]:
-    """Shared tuple of the first ``block_count`` benign blocks."""
-    return REFERENCE_STORE.image(seed, block_size).blocks(block_count)
 
 
 def set_reference_store(store: ReferenceStore) -> ReferenceStore:

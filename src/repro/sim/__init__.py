@@ -35,7 +35,6 @@ from repro.sim.device import Device, SecureTimer
 from repro.sim.network import (
     Channel,
     ChannelFilter,
-    DropAdversary,
     Endpoint,
     FilterVerdict,
     Message,
@@ -68,7 +67,6 @@ __all__ = [
     "FilterVerdict",
     "Endpoint",
     "Message",
-    "DropAdversary",
     "Trace",
     "TraceRecord",
 ]

@@ -108,21 +108,6 @@ class MemoryImage:
     def __hash__(self) -> int:
         return hash(self._blocks)
 
-    def replace(self, block_index: int, data: bytes) -> "MemoryImage":
-        """Return a new image with one block substituted."""
-        if not 0 <= block_index < len(self._blocks):
-            raise AddressError(f"block {block_index} out of range")
-        blocks = list(self._blocks)
-        blocks[block_index] = bytes(data)
-        return MemoryImage(blocks)
-
-    def fingerprint(self) -> str:
-        """Content-addressed identity (SHA-256 over all blocks), for tests."""
-        h = hashlib.sha256()
-        for block in self._blocks:
-            h.update(block)
-        return h.hexdigest()
-
 
 class MemoryBlock:
     """One block of prover memory."""
@@ -200,8 +185,8 @@ class Memory:
         ]
         #: per-block frozen content snapshot: ``read_block`` returns the
         #: cached immutable bytes instead of copying the backing
-        #: bytearray on every access; any applied mutation (write /
-        #: patch / load_image) drops the affected snapshot.  Pristine
+        #: bytearray on every access; an applied write replaces the
+        #: affected snapshot.  Pristine
         #: blocks start out aliasing the interned benign bytes, so a
         #: cold read is zero-copy *and* identity-comparable against the
         #: reference image.
@@ -303,40 +288,11 @@ class Memory:
             return False
         return True
 
-    def patch(
-        self, block_index: int, offset: int, data: bytes, actor: str = "?"
-    ) -> None:
-        """Overwrite part of a block (same MPU semantics as ``write``)."""
-        self._check_index(block_index)
-        if offset < 0 or offset + len(data) > self.block_size:
-            raise AddressError("patch outside block bounds")
-        if self.mpu is not None and not self.mpu.check_write(block_index, actor):
-            return
-        self.blocks[block_index].data[offset : offset + len(data)] = data
-        patched = bytes(self.blocks[block_index].data)
-        self._frozen[block_index] = patched
-        self.write_log.append(
-            WriteRecord(
-                self.now(), block_index, actor,
-                content_fingerprint(patched),
-            )
-        )
-
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> MemoryImage:
         """Immutable copy of the entire current contents."""
         return MemoryImage(block.data for block in self.blocks)
-
-    def load_image(self, image: MemoryImage) -> None:
-        """Restore memory to ``image``, bypassing the MPU (re-flash)."""
-        if len(image) != self.block_count:
-            raise ConfigurationError("image block count mismatch")
-        for index, content in enumerate(image):
-            if len(content) != self.block_size:
-                raise ConfigurationError("image block size mismatch")
-            self.blocks[index].data[:] = content
-            self._frozen[index] = bytes(content)
 
     def benign_image(self) -> MemoryImage:
         """The pristine image this memory was initialized with.
@@ -367,10 +323,4 @@ class Memory:
         read = self.read_block
         return [
             i for i in range(self.block_count) if read(i) != benign[i]
-        ]
-
-    def writes_in(self, t_start: float, t_end: float) -> List[WriteRecord]:
-        """All committed writes with ``t_start <= time <= t_end``."""
-        return [
-            rec for rec in self.write_log if t_start <= rec.time <= t_end
         ]

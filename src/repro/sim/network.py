@@ -8,8 +8,9 @@ attestation responses.  This module provides:
 * :class:`Channel` -- a bidirectional link with a latency model;
 * :class:`ChannelFilter` / :class:`FilterVerdict` -- the one in-path
   filter protocol shared by adversaries and fault injectors;
-* :class:`DropAdversary` / :class:`DelayAdversary` / :class:`ReplayAdversary`
-  -- in-path filters used by the failure-injection tests.
+* :class:`DelayAdversary` / :class:`ReplayAdversary` -- in-path
+  filters used by the failure-injection tests (message loss is
+  :meth:`repro.resilience.faults.FaultPlan.loss`).
 
 Filters historically had three incompatible contracts (return ``None``
 to drop, a float to override the delay, or a list to duplicate); they
@@ -20,7 +21,6 @@ wraps legacy callables in an adapter so old code keeps working.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -354,37 +354,6 @@ class Channel:
                     delay=round(delay, 6),
                 )
         return message
-
-
-class DropAdversary(ChannelFilter):
-    """Drops matching messages with a given probability.
-
-    The SeED communication adversary: suppress attestation responses so
-    the verifier never learns the prover was dirty.
-    """
-
-    def __init__(
-        self,
-        probability: float = 1.0,
-        kind: Optional[str] = None,
-        rng: Optional[random.Random] = None,
-        base_latency: float = 0.005,
-    ) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError("probability must be in [0, 1]")
-        self.probability = probability
-        self.kind = kind
-        self.rng = rng if rng is not None else random.Random(0)
-        self.base_latency = base_latency
-        self.dropped_count = 0
-
-    def __call__(self, message: Message) -> FilterVerdict:
-        if self.kind is not None and message.kind != self.kind:
-            return FilterVerdict.deliver(delay=self.base_latency)
-        if self.rng.random() < self.probability:
-            self.dropped_count += 1
-            return FilterVerdict.drop()
-        return FilterVerdict.deliver(delay=self.base_latency)
 
 
 class DelayAdversary(ChannelFilter):

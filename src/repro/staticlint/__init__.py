@@ -60,7 +60,6 @@ from repro.staticlint.dataflow import TaintSpec, run_taint
 from repro.staticlint.engine import (
     ProjectAnalysis,
     ProjectContext,
-    analyze_paths,
     analyze_project,
     analyze_source,
     iter_python_files,
@@ -97,7 +96,6 @@ __all__ = [
     "Rule",
     "TaintSpec",
     "all_rules",
-    "analyze_paths",
     "analyze_project",
     "analyze_source",
     "apply_baseline",

@@ -4,8 +4,8 @@ One :class:`ModuleContext` per analyzed file carries the parsed tree,
 the raw lines, an import-alias table (so ``from time import
 perf_counter as pc`` is still seen as ``time.perf_counter``), and the
 scoping helpers rules use.  :func:`analyze_source` runs the selected
-rules over one module; :func:`analyze_paths` walks files and
-directories.
+rules over one module; :func:`analyze_project` runs every file under
+the given paths, whole-program rules included.
 
 Suppressions
 ------------
@@ -287,27 +287,6 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
         elif path.suffix == ".py" and path.exists():
             found.append(path)
     return sorted(set(found))
-
-
-def analyze_paths(
-    paths: Sequence[str], config: Optional[LintConfig] = None
-) -> List[Finding]:
-    """Run the lexical rules over every ``.py`` file under ``paths``.
-
-    Whole-program rules need the project view; use
-    :func:`analyze_project` (or :func:`repro.staticlint.cli.
-    build_report`) to run those as well.
-    """
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(
-            analyze_source(
-                path.read_text(encoding="utf-8"),
-                path=str(path),
-                config=config,
-            )
-        )
-    return findings
 
 
 # ---------------------------------------------------------------------------

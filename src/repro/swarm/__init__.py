@@ -9,9 +9,7 @@ device point-to-point.
 * :mod:`repro.swarm.collective` -- a SEDA-style spanning-tree
   aggregation protocol over the simulated devices (LISA-s flavour);
 * :mod:`repro.swarm.lisa` -- LISA-alpha: per-device reports forwarded
-  to the verifier (higher QoSA, more traffic);
-* :mod:`repro.swarm.darpa` -- DARPA-style heartbeat absence detection
-  against physical attacks.
+  to the verifier (higher QoSA, more traffic).
 """
 
 from repro.swarm.topology import SwarmTopology, make_topology
@@ -25,7 +23,6 @@ from repro.swarm.lisa import (
     LisaAlphaNode,
     LisaAlphaResult,
 )
-from repro.swarm.darpa import AbsenceEvent, HeartbeatProtocol
 
 __all__ = [
     "SwarmTopology",
@@ -36,6 +33,4 @@ __all__ = [
     "LisaAlphaAttestation",
     "LisaAlphaNode",
     "LisaAlphaResult",
-    "AbsenceEvent",
-    "HeartbeatProtocol",
 ]

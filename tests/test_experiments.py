@@ -129,47 +129,6 @@ class TestFig5:
         assert "infection 2: DETECTED" in text
 
 
-class TestFleetQoA:
-    """Figure 5 at fleet scale: the experiment driver is a thin fold
-    over one ``run_pipeline`` pass of the canned QoA campaign."""
-
-    @pytest.fixture(scope="class")
-    def result(self):
-        return experiments.fleet_qoa(seed_count=1)
-
-    @pytest.fixture(scope="class")
-    def campaign(self):
-        from repro.fleet import qoa_fleet_campaign
-
-        return qoa_fleet_campaign(seed_count=1)
-
-    def test_every_planned_run_ok(self, result, campaign):
-        planned = campaign.plan()
-        assert result.run_count == len(planned)
-        assert result.execution_summary.endswith(f"ok={len(planned)}")
-        assert set(result.curves) == {
-            (spec.t_m, spec.dwell) for spec in planned
-        }
-
-    def test_analytic_curve_matches_qoa_model(self, result, campaign):
-        from repro.core.qoa import QoAParameters
-
-        t_c = campaign.base["t_c"]
-        for (t_m, dwell), (analytic, _) in result.curves.items():
-            expected = QoAParameters(t_m, t_c).detection_probability(dwell)
-            assert analytic == expected, (t_m, dwell)
-
-    def test_summary_matches_direct_pipeline(self, result, campaign,
-                                             tmp_path_factory):
-        from repro.fleet import SerialBackend, run_pipeline
-
-        report = run_pipeline(
-            campaign, out_dir=tmp_path_factory.mktemp("qoa"),
-            backend=SerialBackend(),
-        )
-        assert result.summary_text == report.summary.render()
-
-
 class TestSec24:
     def test_anchors(self):
         anchors = experiments.sec24_anchors()

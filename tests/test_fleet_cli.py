@@ -86,6 +86,18 @@ class TestRunAndSummarize:
         out = capsys.readouterr().out
         assert "locking-availability" in out and "no-lock" in out
 
+    def test_summarize_resolves_a_canned_key(self, tmp_path, capsys):
+        # `fleet run --campaign faults` writes under the spec name
+        # (fault-matrix/); summarize must find it by the same key
+        assert main(["fleet", "run", "--campaign", "faults", "--seeds", "1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["fleet", "summarize", "--campaign", "faults",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign fault-matrix: 9 runs" in out
+        assert "mechanism" in out
+
     def test_summarize_without_artifacts_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fleet", "summarize", "--campaign", "ghost",

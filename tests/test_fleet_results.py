@@ -5,13 +5,11 @@ import json
 import pytest
 
 from repro.apps.metrics import AvailabilityReport
-from repro.errors import ConfigurationError
 from repro.fleet import (
     CampaignSpec,
     RunResult,
     RunSpec,
     failure_result,
-    percentile,
     read_manifest,
     read_results_jsonl,
     run_one,
@@ -39,30 +37,6 @@ def make_result(**overrides) -> RunResult:
     )
     fields.update(overrides)
     return RunResult(**fields)
-
-
-class TestPercentile:
-    def test_median(self):
-        assert percentile([1, 3, 2], 50) == 2
-
-    def test_interpolates(self):
-        assert percentile([0.0, 10.0], 25) == pytest.approx(2.5)
-
-    def test_extremes(self):
-        values = [5.0, 1.0, 9.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 9.0
-
-    def test_single_value(self):
-        assert percentile([4.2], 90) == 4.2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            percentile([], 50)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            percentile([1.0], 101)
 
 
 class TestRunResultSerialization:

@@ -17,6 +17,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core.qoa import QoAParameters
 from repro.errors import ConfigurationError
 from repro.fleet import (
     PipelineConfig,
@@ -27,6 +28,7 @@ from repro.fleet import (
     StreamingAggregator,
     artifact_paths,
     canned_campaign,
+    read_results_jsonl,
     run_one,
     run_pipeline,
     summarize,
@@ -138,31 +140,6 @@ class TestStreamingEqualsBatch:
         )
         assert aggregator.summary().to_dict() == batch.to_dict()
 
-    def test_aggregator_merge_matches_single_pass(self):
-        results = [
-            synthetic_runner(fast_spec(seed=i)) for i in range(20)
-        ]
-        left, right = StreamingAggregator("m"), StreamingAggregator("m")
-        for result in results[:11]:
-            left.add(result)
-        for result in results[11:]:
-            right.add(result)
-        merged = left.merge(right).summary()
-        single = summarize(results, campaign="m")
-        assert merged.total_runs == single.total_runs
-        for key, group in single.groups.items():
-            other = merged.groups[key]
-            assert other.runs == group.runs
-            assert other.detected == group.detected
-            assert other.detection_latency.count == \
-                group.detection_latency.count
-            assert other.detection_latency.sum == pytest.approx(
-                group.detection_latency.sum
-            )
-            assert other.mean_miss_rate == pytest.approx(
-                group.mean_miss_rate
-            )
-
 
 class TestKillAndResume:
     def test_kill_mid_campaign_then_resume_byte_identical(self, tmp_path):
@@ -200,6 +177,20 @@ class TestKillAndResume:
 
         assert artifact_bytes(tmp_path / "killed", campaign.name) == \
             artifact_bytes(tmp_path / "clean", campaign.name)
+
+        # each run's analytic QoA figure is Figure 5's model at its
+        # (T_M, dwell) cell
+        t_c = campaign.base["t_c"]
+        runs = read_results_jsonl(
+            artifact_paths(tmp_path / "clean", campaign.name).runs
+        )
+        assert [r.status for r in runs] == ["ok"] * len(specs)
+        for result in runs:
+            t_m, dwell = result.spec["t_m"], result.spec["dwell"]
+            expected = QoAParameters(t_m, t_c).detection_probability(dwell)
+            assert result.qoa["detection_probability"] == expected, (
+                t_m, dwell,
+            )
 
     def test_resume_of_finished_campaign_is_a_noop(self, tmp_path):
         campaign = canned_campaign("qoa", seed_count=1)

@@ -27,16 +27,13 @@ class TestReleaseTrace:
 
 class TestChannelTrace:
     def test_sends_and_drops_recorded(self):
+        from repro.resilience.faults import FaultPlan
         from repro.sim.trace import Trace
-        from repro.sim.network import DropAdversary
 
         sim = Simulator()
         trace = Trace()
         channel = Channel(sim, latency=0.01, trace=trace)
-        channel.add_filter(
-            DropAdversary(probability=1.0, kind="secret",
-                          base_latency=0.01)
-        )
+        FaultPlan().loss(1.0, match="secret").install(channel)
         a = channel.make_endpoint("a")
         channel.make_endpoint("b")
         a.send("b", "hello", None)

@@ -7,7 +7,6 @@ from repro.sim.engine import Simulator
 from repro.sim.network import (
     Channel,
     DelayAdversary,
-    DropAdversary,
     Endpoint,
     ReplayAdversary,
 )
@@ -86,31 +85,6 @@ class TestDelivery:
         a.send("b", "x", None)
         b.send("a", "y", None)
         assert [m.kind for m in channel.log] == ["x", "y"]
-
-
-class TestDropAdversary:
-    def test_drops_matching_kind(self):
-        sim, channel, a, b = rig()
-        adversary = DropAdversary(probability=1.0, kind="report")
-        channel.add_filter(adversary)
-        a.send("b", "report", None)
-        a.send("b", "other", None)
-        sim.run()
-        assert [m.kind for m in b.drain()] == ["other"]
-        assert adversary.dropped_count == 1
-        assert len(channel.dropped) == 1
-
-    def test_zero_probability_drops_nothing(self):
-        sim, channel, a, b = rig()
-        channel.add_filter(DropAdversary(probability=0.0))
-        for _ in range(5):
-            a.send("b", "x", None)
-        sim.run()
-        assert b.received_count == 5
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DropAdversary(probability=1.5)
 
 
 class TestDelayAdversary:

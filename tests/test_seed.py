@@ -8,19 +8,22 @@ from repro.malware.transient import TransientMalware
 from repro.ra.report import Verdict
 from repro.ra.seed import SeedMonitor, SeedService, trigger_schedule
 from repro.ra.verifier import Verifier
+from repro.resilience.faults import FaultPlan
 from repro.sim.device import Device
 from repro.sim.engine import Simulator
-from repro.sim.network import Channel, DropAdversary, ReplayAdversary
+from repro.sim.network import Channel, ReplayAdversary
 
 
 def seed_rig(trigger_count=5, min_gap=2.0, max_gap=4.0, grace=1.0,
-             filters=()):
+             filters=(), faults=None):
     sim = Simulator()
     device = Device(sim, block_count=10, block_size=32)
     device.standard_layout()
     channel = Channel(sim, latency=0.002)
     for filter_fn in filters:
         channel.add_filter(filter_fn)
+    if faults is not None:
+        faults.install(channel)
     device.attach_network(channel)
     verifier = Verifier(sim)
     verifier.enroll(device)
@@ -116,14 +119,13 @@ class TestSecrecy:
 
 class TestCommunicationAdversary:
     def test_dropped_reports_flagged_missing(self):
-        dropper = DropAdversary(probability=1.0, kind="seed_report",
-                                base_latency=0.002)
         sim, device, verifier, service, monitor = seed_rig(
-            trigger_count=4, filters=[dropper]
+            trigger_count=4,
+            faults=FaultPlan().loss(1.0, match="seed_report"),
         )
         service.start()
         sim.run(until=60)
-        assert dropper.dropped_count == 4
+        assert len(device.nic.channel.dropped) == 4
         assert monitor.missing_count() == 4
         missing = [
             r for r in verifier.results if r.verdict is Verdict.MISSING
@@ -131,17 +133,13 @@ class TestCommunicationAdversary:
         assert len(missing) == 4
 
     def test_partial_drop(self):
-        import random
-
-        dropper = DropAdversary(probability=0.5, kind="seed_report",
-                                base_latency=0.002,
-                                rng=random.Random(42))
         sim, device, verifier, service, monitor = seed_rig(
-            trigger_count=8, filters=[dropper]
+            trigger_count=8,
+            faults=FaultPlan().loss(0.5, match="seed_report"),
         )
         service.start()
         sim.run(until=120)
-        assert monitor.missing_count() == dropper.dropped_count
+        assert monitor.missing_count() == len(device.nic.channel.dropped)
         assert 0 < monitor.missing_count() < 8
 
     def test_replayed_reports_rejected_by_counter(self):

@@ -120,11 +120,11 @@ class TestClaimComparison:
 
 
 class TestSingleScenario:
-    def test_run_scenario_summary(self):
+    def test_run_scenario_outcome(self):
         setups = standard_mechanisms()
         outcome = run_scenario(setups["smart"], "none", FAST)
-        text = outcome.summary()
-        assert "smart" in text and "detected=False" in text
+        assert (outcome.mechanism, outcome.adversary) == ("smart", "none")
+        assert outcome.detected is False
 
     def test_lock_ops_counted_for_locking_mechanisms(self):
         setups = standard_mechanisms()

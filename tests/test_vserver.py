@@ -14,7 +14,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.ra.report import AttestationReport
 from repro.ra.verifier import Verifier
 from repro.resilience.outcome import (
@@ -425,23 +424,3 @@ class TestServeCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "8 provers" in out
-
-
-class TestHistogramQuantile:
-    def test_interpolated_quantiles(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "q", "test", buckets=(1.0, 2.0, 4.0)
-        )
-        for value in (0.5, 1.5, 3.0, 8.0):
-            hist.observe(value)
-        assert hist.quantile(0.0) == pytest.approx(hist.min)
-        assert hist.quantile(1.0) == pytest.approx(hist.max)
-        assert 0.0 < hist.quantile(0.5) <= 4.0
-
-    def test_empty_and_validation(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("q", "test")
-        assert hist.quantile(0.5) == 0.0
-        with pytest.raises(ConfigurationError):
-            hist.quantile(1.5)

@@ -24,14 +24,13 @@ from pathlib import Path
 import pytest
 
 from repro.core.tradeoff import ScenarioConfig
-from repro.ra.erasmus import COLLECT_STREAM, verify_collections_batch
-from repro.ra.seed import PUSH_STREAM, verify_pushes_batch
 from repro.ra.verifier import Verifier
 from repro.resilience.retry import RetryPolicy
 from repro.scenario import Scenario
 from repro.sim.engine import Simulator
 from repro.units import MiB
 from repro.vserver import ServiceConfig, build_service_scenario
+from repro.vserver.server import KIND_VERIFY_KWARGS
 
 GOLDEN_LEDGER = Path(__file__).parent / "golden" / "vserver_ledger.jsonl"
 
@@ -76,18 +75,22 @@ def run_scenario(mechanism, malware="transient", faults=None, seed=5):
 
 
 def captured_reports(scenario):
-    """The reports the run actually sent, plus their verify kwargs."""
+    """The reports the run actually sent, plus the verify kwargs the
+    served verifier applies to their message kind."""
     if scenario.seed_service is not None:
         reports = list(scenario.seed_service.reports_sent)
-        kwargs = {"enforce_counter": True, "counter_stream": PUSH_STREAM}
+        kind = "seed_report"
     elif scenario.collector is not None:
         reports = [c.report for c in scenario.collector.collections]
-        kwargs = {"enforce_counter": True,
-                  "counter_stream": COLLECT_STREAM}
+        kind = "collect_reply"
     else:
         reports = list(scenario.service.reports_sent)
-        kwargs = {}
-    return reports, kwargs
+        kind = "att_report"
+    return reports, KIND_VERIFY_KWARGS[kind]
+
+
+def verify_batched(verifier, reports, kwargs):
+    return verifier.verify_batch([(report, kwargs) for report in reports])
 
 
 def fresh_verifier(source):
@@ -126,15 +129,9 @@ def assert_equivalent(scenario):
     serial_results = [
         serial.verify_report(report, **kwargs) for report in reports
     ]
-    batched = fresh_verifier(scenario.verifier)
-    if scenario.seed_service is not None:
-        batched_results = verify_pushes_batch(batched, reports)
-    elif scenario.collector is not None:
-        batched_results = verify_collections_batch(batched, reports)
-    else:
-        batched_results = batched.verify_batch(
-            [(report, kwargs) for report in reports]
-        )
+    batched_results = verify_batched(
+        fresh_verifier(scenario.verifier), reports, kwargs
+    )
     assert signature(batched_results) == signature(serial_results)
     return serial_results
 
@@ -180,8 +177,9 @@ class TestMechanismEquivalence:
         serial_results = [
             serial.verify_report(report, **kwargs) for report in doubled
         ]
-        batched = fresh_verifier(scenario.verifier)
-        batched_results = verify_pushes_batch(batched, doubled)
+        batched_results = verify_batched(
+            fresh_verifier(scenario.verifier), doubled, kwargs
+        )
         assert signature(batched_results) == signature(serial_results)
         assert any(
             result.verdict.value == "replay" for result in batched_results
